@@ -6,6 +6,21 @@ set of nodes (leaves) whose removal separates ``n`` from the primary
 inputs and whose truth table is small enough to compute.  The
 priority-cut scheme keeps only the best ``C`` cuts per node, which
 bounds the quadratic blow-up of exhaustive enumeration.
+
+Each node's cut list is the first ``C`` leaf sets, by (size, leaf
+ids), among the minimal distinct unions of its fanins' cuts.  Three
+things keep that cheap (ABC's priority cuts work the same way):
+
+* every cut carries a 64-bit leaf signature, the OR of
+  ``1 << (leaf & 63)``; a merge whose signature has more than ``k``
+  bits set is rejected before its leaf tuple is built, and the exact
+  subset test of the dominance filter runs only when the signatures
+  allow a subset;
+* candidates are filtered in (size, leaf ids) order, so the filter
+  stops once ``C`` cuts are kept;
+* truth tables are computed only for the kept cuts, by word-level
+  expansion (:func:`repro.synth.truth.tt_expand`) of the fanin tables
+  of the first merge that produced the leaf set.
 """
 
 from __future__ import annotations
@@ -14,7 +29,7 @@ from dataclasses import dataclass
 
 from .. import obs
 from .aig import AIG, lit_is_compl, lit_var
-from .truth import tt_expand, tt_mask, tt_not, tt_var
+from .truth import tt_expand, tt_mask, tt_var
 
 
 @dataclass(frozen=True)
@@ -28,54 +43,39 @@ class Cut:
     def size(self) -> int:
         return len(self.leaves)
 
-    def dominates(self, other: "Cut") -> bool:
-        """True if this cut's leaves are a subset of the other's."""
-        return set(self.leaves) <= set(other.leaves)
-
 
 #: Sentinel table value for cuts enumerated without truth tables.
 NO_TABLE = -1
 
 
-def _merge_cuts(
-    cut_a: Cut, cut_b: Cut, compl_a: bool, compl_b: bool, k: int, with_tables: bool
-) -> Cut | None:
-    """Merge fanin cuts into a candidate cut of the AND node."""
-    leaves = tuple(sorted(set(cut_a.leaves) | set(cut_b.leaves)))
-    if len(leaves) > k:
-        return None
-    if not with_tables:
-        return Cut(leaves, NO_TABLE)
-    n = len(leaves)
-    position = {leaf: i for i, leaf in enumerate(leaves)}
-    table_a = tt_expand(
-        cut_a.table, [position[l] for l in cut_a.leaves], len(cut_a.leaves), n
-    )
-    table_b = tt_expand(
-        cut_b.table, [position[l] for l in cut_b.leaves], len(cut_b.leaves), n
-    )
-    if compl_a:
-        table_a = tt_not(table_a, n)
-    if compl_b:
-        table_b = tt_not(table_b, n)
-    return Cut(leaves, table_a & table_b)
+def _filter_dominated(candidates: list[tuple], limit: int) -> tuple[list[tuple], int]:
+    """The first ``limit`` candidates whose leaves contain no kept cut's.
 
-
-def _filter_dominated(cuts: list[Cut]) -> list[Cut]:
-    result: list[Cut] = []
-    for cut in cuts:
-        if any(other.dominates(cut) for other in result):
-            continue
-        result = [other for other in result if not cut.dominates(other)]
-        result.append(cut)
-    return result
+    ``candidates`` are ``(leaves, sig, ...)`` tuples with distinct
+    leaves, sorted by (size, leaves): every strict subset of a
+    candidate's leaves comes before it, and a dropped subset has a kept
+    subset of its own, so testing against the kept cuts suffices.
+    Returns the kept candidates and the number found dominated.
+    """
+    kept: list[tuple] = []
+    dominated = 0
+    for candidate in candidates:
+        if len(kept) == limit:
+            break
+        leaves, sig = candidate[0], candidate[1]
+        for other in kept:
+            if other[1] & ~sig == 0 and set(other[0]).issubset(leaves):
+                dominated += 1
+                break
+        else:
+            kept.append(candidate)
+    return kept, dominated
 
 
 def enumerate_cuts(
     aig: AIG,
     k: int = 4,
     max_cuts: int = 8,
-    include_trivial: bool = True,
     compute_tables: bool = True,
 ) -> dict[int, list[Cut]]:
     """Priority-cut enumeration.
@@ -85,46 +85,91 @@ def enumerate_cuts(
     Cut lists are pruned to ``max_cuts`` by (size, leaf-id) preference
     after dominance filtering.
 
-    With ``compute_tables=False`` the per-merge truth-table expansion
-    (the dominant cost at k = 6) is skipped; tables carry the
-    :data:`NO_TABLE` sentinel and consumers compute them on demand
-    (see :func:`cut_function`).
+    With ``compute_tables=False`` no truth tables are built; tables
+    carry the :data:`NO_TABLE` sentinel and consumers compute them on
+    demand (see :func:`cut_function`).
     """
     if k < 2:
         raise ValueError("cut size must be at least 2")
-    cuts: dict[int, list[Cut]] = {}
+    if max_cuts < 0:
+        raise ValueError("max_cuts must not be negative")
+    with obs.span("synth.cuts", k=k, max_cuts=max_cuts, tables=compute_tables) as sp:
+        cuts, stats = _enumerate(aig, k, max_cuts, compute_tables)
+        if obs.current_tracer() is not None:
+            cuts_out = sum(len(v) for v in cuts.values())
+            sp.set(nodes=aig.num_ands, cuts_out=cuts_out)
+            for name, value in stats.items():
+                obs.count(f"synth.cuts.{name}", value)
+            obs.count("synth.cuts.enumerated", cuts_out)
+            obs.count("synth.cuts.calls")
+    return cuts
+
+
+def _enumerate(
+    aig: AIG, k: int, max_cuts: int, compute_tables: bool
+) -> tuple[dict[int, list[Cut]], dict[str, int]]:
+    """The enumeration proper; returns the cuts and the merge counts.
+
+    Cuts are kept as ``(leaves, table, sig)`` triples while fanouts
+    still merge them, and wrapped in :class:`Cut` at the end.  ``sig``
+    is the leaf signature, the OR of ``1 << (leaf & 63)``.
+    """
     trivial_table = tt_var(0, 1) if compute_tables else NO_TABLE
-
+    triples: dict[int, list[tuple]] = {}
     for node in aig.pis:
-        cuts[node] = [Cut((node,), trivial_table)]
-    cuts[0] = [Cut((), 0 if compute_tables else NO_TABLE)]
+        triples[node] = [((node,), trivial_table, 1 << (node & 63))]
+    triples[0] = [((), 0 if compute_tables else NO_TABLE, 0)]
 
+    merges = size_rejected = dominated = 0
     for node in aig.and_nodes():
         f0, f1 = aig.fanins(node)
-        v0, v1 = lit_var(f0), lit_var(f1)
-        c0, c1 = lit_is_compl(f0), lit_is_compl(f1)
-        merged: list[Cut] = []
-        seen: set[tuple[int, ...]] = set()
-        for cut_a in cuts[v0]:
-            for cut_b in cuts[v1]:
-                candidate = _merge_cuts(cut_a, cut_b, c0, c1, k, compute_tables)
-                if candidate is None:
+        cuts_a, cuts_b = triples[lit_var(f0)], triples[lit_var(f1)]
+        merges += len(cuts_a) * len(cuts_b)
+        # First merge producing each leaf set: its tables define the cut's.
+        first: dict[tuple[int, ...], tuple] = {}
+        for leaves_a, table_a, sig_a in cuts_a:
+            for leaves_b, table_b, sig_b in cuts_b:
+                sig = sig_a | sig_b
+                if sig.bit_count() > k:
+                    size_rejected += 1
                     continue
-                if not compute_tables:
-                    if candidate.leaves in seen:
-                        continue
-                    seen.add(candidate.leaves)
-                merged.append(candidate)
-        merged = _filter_dominated(merged)
-        merged.sort(key=lambda c: (len(c.leaves), c.leaves))
-        merged = merged[:max_cuts]
-        if include_trivial:
-            merged.append(Cut((node,), trivial_table))
-        cuts[node] = merged
-    if obs.current_tracer() is not None:
-        obs.count("synth.cuts.enumerated", sum(len(v) for v in cuts.values()))
-        obs.count("synth.cuts.calls")
-    return cuts
+                leaves = tuple(sorted({*leaves_a, *leaves_b}))
+                if len(leaves) > k:
+                    size_rejected += 1
+                    continue
+                if leaves not in first:
+                    first[leaves] = (leaves, sig, leaves_a, table_a, leaves_b, table_b)
+        order = sorted(first, key=lambda leaves: (len(leaves), leaves))
+        candidates = [first[leaves] for leaves in order]
+        kept, n_dominated = _filter_dominated(candidates, max_cuts)
+        dominated += n_dominated
+
+        node_cuts = []
+        for leaves, sig, leaves_a, table_a, leaves_b, table_b in kept:
+            table = NO_TABLE
+            if compute_tables:
+                table = (
+                    _table_over(table_a, leaves_a, leaves, lit_is_compl(f0))
+                    & _table_over(table_b, leaves_b, leaves, lit_is_compl(f1))
+                )
+            node_cuts.append((leaves, table, sig))
+        node_cuts.append(((node,), trivial_table, 1 << (node & 63)))
+        triples[node] = node_cuts
+
+    cuts = {
+        node: [Cut(leaves, table) for leaves, table, _ in node_cuts]
+        for node, node_cuts in triples.items()
+    }
+    stats = {"merges": merges, "size_rejected": size_rejected, "dominated": dominated}
+    return cuts, stats
+
+
+def _table_over(table: int, leaves: tuple[int, ...], merged: tuple[int, ...], compl: bool) -> int:
+    """A fanin cut's table re-expressed over the merged leaves."""
+    n = len(merged)
+    if leaves != merged:
+        table = tt_expand(table, [merged.index(leaf) for leaf in leaves], len(leaves), n)
+    return table ^ tt_mask(n) if compl else table
 
 
 def cut_function(aig: AIG, root: int, leaves: tuple[int, ...]) -> int:

@@ -11,9 +11,8 @@ of k-input LUTs by dynamic programming over enumerated cuts:
   switching activity secondary), or ``"primary"`` (the paper's
   proposed cryogenic-aware hierarchy: activity first).
 
-Cut enumeration runs *table-free* (the per-merge truth-table expansion
-dominates at k = 6); truth tables are computed by cone simulation only
-for the cuts the cover actually selects.  The result is structure-free
+Cut enumeration runs *table-free*; truth tables are computed by cone
+simulation only for the cuts the cover actually selects.  The result is structure-free
 (leaves + truth table per LUT), which is exactly what lets structural
 choice classes contribute alternative cuts.
 """

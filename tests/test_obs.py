@@ -324,6 +324,27 @@ class TestPipelineIntegration:
         assert tracer.counters.get("sta.timing_queries", 0) >= 1
         assert tracer.counters.get("map.nodes_mapped", 0) > 0
 
+    def test_cut_engine_span_and_counters(self):
+        from repro.benchgen import build_circuit
+        from repro.synth import enumerate_cuts, npn_canon
+
+        aig = build_circuit("adder", "small")
+        npn_canon.cache_clear()
+        with obs.Tracer() as tracer:
+            cuts = enumerate_cuts(aig, k=4, max_cuts=8)
+            for _ in range(3):
+                npn_canon(0x8000, 4)
+        (span,) = [s for s in tracer.spans if s.name == "synth.cuts"]
+        assert span.to_dict()["attrs"] == {
+            "k": 4, "max_cuts": 8, "tables": True, "nodes": aig.num_ands,
+            "cuts_out": sum(len(v) for v in cuts.values()),
+        }
+        counters = tracer.counters
+        assert counters["synth.cuts.merges"] > counters["synth.cuts.size_rejected"] > 0
+        assert counters["synth.cuts.dominated"] > 0
+        assert span.counters["synth.cuts.merges"] == counters["synth.cuts.merges"]
+        assert counters["synth.npn.classes"] == 1
+
     def test_flow_result_to_dict_round_trips_json(self):
         from repro.benchgen import build_circuit
         from repro.charlib import default_library
