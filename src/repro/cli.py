@@ -11,9 +11,7 @@ Exposes the paper's pipeline the way a user drives ABC + SiliconSmart
 * ``compare``      — the Fig. 3 experiment on chosen circuits;
 * ``calibrate``    — the Fig. 1 measurement + model-fitting loop;
 * ``benchmarks``   — list the available EPFL generators;
-* ``serve``        — run the characterization service: an
-  admission-controlled job queue (quotas, weighted-fair scheduling,
-  circuit breaker, graceful SIGTERM drain) over an HTTP JSON API;
+* ``export``       — write a circuit as AIGER or BLIF;
 * ``report-trace`` — re-render a saved JSONL trace as a summary tree;
 * ``ledger``       — inspect the persistent run ledger
   (``list``/``show``/``compare``/``trend``).
@@ -196,16 +194,10 @@ def _journal_config(args: argparse.Namespace) -> dict:
     strictness) stay out, so a resume may legitimately use different
     parallelism than the interrupted run.
     """
-    # A serve journal is bound to nothing but the command: every serve
-    # knob (port, workers, capacity, quotas) is runtime-only, and the
-    # per-job configuration lives in the journal's own ``job_submit``
-    # records — resuming on a different port must replay the same jobs.
-    if getattr(args, "command", None) == "serve":
-        return {"command": "serve"}
     excluded = {
         "func", "journal", "resume", "trace", "profile", "cache_dir",
-        "cache_remote", "faults", "jobs", "isolate", "json", "output",
-        "report", "strict", "ledger", "no_ledger",
+        "faults", "jobs", "isolate", "json", "output", "report", "strict",
+        "ledger", "no_ledger",
     }
     return {
         key: value
@@ -255,18 +247,11 @@ def _journaling(args: argparse.Namespace, argv: list[str]):
     config = _journal_config(args)
     if getattr(args, "resume", None):
         journal = RunJournal.resume(journal_path, config)
-        if getattr(args, "command", None) == "serve":
-            done = sum(1 for r in journal.records if r.get("kind") == "job_done")
-            print(
-                f"resuming from {journal_path} ({done} job(s) journaled done)",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"resuming from {journal_path} "
-                f"({len(journal.completed_scenarios())} scenario(s) journaled)",
-                file=sys.stderr,
-            )
+        print(
+            f"resuming from {journal_path} "
+            f"({len(journal.completed_scenarios())} scenario(s) journaled)",
+            file=sys.stderr,
+        )
     else:
         journal = RunJournal.create(journal_path, config)
     args._journal = journal
@@ -279,33 +264,15 @@ def _journaling(args: argparse.Namespace, argv: list[str]):
 
 @contextlib.contextmanager
 def _caching(args: argparse.Namespace):
-    """Install the artifact cache ``--cache-dir``/``--cache-remote`` ask for.
-
-    ``--cache-remote URL`` additionally exports
-    :envvar:`REPRO_CACHE_REMOTE` for the duration of the run so
-    isolated worker subprocesses (which rebuild their cache from just
-    a directory) join the same remote tier; see ``docs/ROBUSTNESS.md``
-    ("Remote cache tier").
-    """
+    """Install the on-disk artifact cache ``--cache-dir`` asks for."""
     cache_dir = getattr(args, "cache_dir", None)
-    cache_remote = getattr(args, "cache_remote", None)
-    if not cache_dir and not cache_remote:
+    if not cache_dir:
         yield
         return
     from .core import ArtifactCache, using_cache
 
-    previous = os.environ.get("REPRO_CACHE_REMOTE")
-    if cache_remote:
-        os.environ["REPRO_CACHE_REMOTE"] = cache_remote
-    try:
-        with using_cache(ArtifactCache(cache_dir=cache_dir, remote=cache_remote)):
-            yield
-    finally:
-        if cache_remote:
-            if previous is None:
-                os.environ.pop("REPRO_CACHE_REMOTE", None)
-            else:
-                os.environ["REPRO_CACHE_REMOTE"] = previous
+    with using_cache(ArtifactCache(cache_dir=cache_dir)):
+        yield
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -358,13 +325,6 @@ def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="persist artifacts (characterized libraries, optimized "
              "networks) to an on-disk cache (default dir: ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--cache-remote", metavar="URL", default=None,
-        help="also share artifacts through a remote cache server "
-             "(repro cache-serve) at URL, e.g. host:8358; a slow or "
-             "dead server degrades to local-only (overrides "
-             "$REPRO_CACHE_REMOTE) — see docs/ROBUSTNESS.md",
     )
 
 
@@ -721,79 +681,6 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache_serve(args: argparse.Namespace) -> int:
-    """Run the remote artifact-cache blob server until interrupted.
-
-    Exit codes: ``0`` — clean shutdown on SIGINT/SIGTERM.  The server
-    is stateless beyond its blob directory; killing it (``kill -9``
-    included) never loses client work — clients degrade to local-only
-    and upload their backlog when a restarted server reappears.
-    """
-    from .cache import make_blob_server
-
-    httpd = make_blob_server(
-        args.host, args.port, args.dir, max_mb=args.max_mb, verbose=args.verbose
-    )
-    host, port = httpd.server_address[:2]
-    print(
-        f"repro cache-serve: listening on http://{host}:{port} "
-        f"(dir={Path(args.dir).expanduser()})",
-        file=sys.stderr,
-    )
-    if args.port_file:
-        Path(args.port_file).write_text(f"{port}\n")
-    try:
-        httpd.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        stats = httpd.store.stats()
-        print(
-            f"repro cache-serve: {stats['entries']} blob(s), "
-            f"{stats['bytes'] // 1024} KiB on shutdown",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    """Cache maintenance; today one action: ``scrub``."""
-    from .cache import scrub_disk, scrub_remote
-
-    cache_dir = (
-        args.cache_dir
-        or os.environ.get("REPRO_CACHE_DIR")
-        or "~/.cache/repro"
-    )
-    root = Path(cache_dir).expanduser()
-    quarantined = 0
-    if root.is_dir():
-        report = scrub_disk(root)
-        quarantined += report["quarantined"]
-        print(
-            f"disk {root}: {report['checked']} checked, {report['ok']} ok, "
-            f"{report['quarantined']} quarantined"
-        )
-    else:
-        print(f"disk {root}: no cache directory, skipped")
-    if args.remote:
-        report = scrub_remote(args.remote)
-        if report is None:
-            print(f"remote {args.remote}: unreachable", file=sys.stderr)
-            return 2
-        quarantined += report.get("quarantined", 0)
-        print(
-            f"remote {args.remote}: {report.get('checked', 0)} checked, "
-            f"{report.get('ok', 0)} ok, "
-            f"{report.get('quarantined', 0)} quarantined"
-        )
-    # Quarantined entries mean the scrub *worked*, but surface them in
-    # the exit status so cron jobs can alarm on bit rot.
-    return 1 if quarantined else 0
-
-
 def _cmd_report_trace(args: argparse.Namespace) -> int:
     from .obs import read_jsonl, render_summary
 
@@ -805,136 +692,6 @@ def _cmd_report_trace(args: argparse.Namespace) -> int:
     print(f"trace: {path} ({len(spans)} spans)")
     print(render_summary(spans, metrics, top_counters=args.top))
     return 0
-
-
-def _parse_tenant_map(pairs: list[str] | None, flag: str) -> dict[str, int]:
-    """Parse repeated ``TENANT=N`` pairs (``--quota``/``--weight``)."""
-    out: dict[str, int] = {}
-    for pair in pairs or []:
-        tenant, sep, value = pair.partition("=")
-        if not sep or not tenant:
-            raise ValueError(f"{flag} wants TENANT=N, got {pair!r}")
-        try:
-            out[tenant] = int(value)
-        except ValueError:
-            raise ValueError(f"{flag} {pair!r}: {value!r} is not an integer")
-    return out
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the characterization service until idle or interrupted.
-
-    Exit codes: ``0`` — clean drain (or ``--exit-when-idle`` went
-    idle); ``3`` — SIGTERM/SIGINT drain timed out, in-flight work
-    remains journaled for ``--resume``; ``130`` — force-quit (second
-    interrupt during the drain).
-    """
-    import threading
-    import time
-
-    from .core import default_cache
-    from .resilience.errors import AdmissionError
-    from .server import CharacterizationService, unfinished_specs
-
-    quotas = _parse_tenant_map(args.quota, "--quota")
-    weights = _parse_tenant_map(args.weight, "--weight")
-    journal = args._journal
-    service = CharacterizationService(
-        capacity=args.capacity,
-        workers=args.workers,
-        isolate=args.isolate,
-        quotas=quotas,
-        default_quota=args.default_quota,
-        weights=weights,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown,
-        max_attempts=args.max_attempts,
-        default_deadline_s=args.deadline,
-        cache=default_cache(),
-        results_dir=args.results_dir,
-        journal=journal,
-        task_timeout_s=args.task_timeout,
-    )
-    service.start()
-
-    # Resume: every journaled job whose latest record is still
-    # ``job_submit`` goes back through the front door.  Persisted
-    # results make most of these the cached fast-path; admission may
-    # shed when pending work exceeds capacity, so wait politely.
-    if getattr(args, "resume", None) and journal is not None:
-        pending = unfinished_specs(journal.records)
-        for spec in pending:
-            while True:
-                try:
-                    service.submit(spec)
-                    break
-                except AdmissionError as exc:
-                    time.sleep(min(1.0, exc.retry_after_s or 0.1))
-        if pending:
-            print(
-                f"re-enqueued {len(pending)} unfinished job(s)", file=sys.stderr
-            )
-
-    httpd = None
-    if not args.no_http:
-        from .server.http import make_server
-
-        httpd = make_server(args.host, args.port, service, verbose=args.verbose)
-        host, port = httpd.server_address[:2]
-        threading.Thread(
-            target=httpd.serve_forever, name="repro-serve-http", daemon=True
-        ).start()
-        print(f"repro serve: listening on http://{host}:{port}", file=sys.stderr)
-        if args.port_file:
-            Path(args.port_file).write_text(f"{port}\n")
-
-    drained = True
-    try:
-        idle_since: float | None = None
-        while True:
-            time.sleep(0.05)
-            if not args.exit_when_idle:
-                continue
-            if not service.idle:
-                idle_since = None
-                continue
-            if idle_since is None:
-                idle_since = time.monotonic()
-            elif time.monotonic() - idle_since >= args.idle_grace:
-                break
-    except KeyboardInterrupt:
-        print("repro serve: draining ...", file=sys.stderr)
-        drained = service.drain(timeout=args.drain_timeout)
-        if not drained:
-            print(
-                "repro serve: drain timed out; unfinished jobs remain "
-                "journaled",
-                file=sys.stderr,
-            )
-            if _RESUME_HINT:
-                print(f"resume with: {_RESUME_HINT}", file=sys.stderr)
-    finally:
-        if httpd is not None:
-            httpd.shutdown()
-            httpd.server_close()
-        service.shutdown(timeout=0 if not drained else 5.0)
-
-    counters = service.metrics()["counters"]
-    shed = sum(n for name, n in counters.items() if name.startswith("server.shed."))
-    print(
-        "repro serve: {admitted} admitted ({coalesced} coalesced, "
-        "{cached} cached), {completed} completed, {failed} failed, "
-        "{shed} shed".format(
-            admitted=counters.get("server.admitted", 0),
-            coalesced=counters.get("server.coalesced", 0),
-            cached=counters.get("server.cached", 0),
-            completed=counters.get("server.completed", 0),
-            failed=counters.get("server.failed", 0),
-            shed=shed,
-        ),
-        file=sys.stderr,
-    )
-    return 0 if drained else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -990,89 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resilience_flags(p)
     _add_journal_flags(p)
     p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser(
-        "serve",
-        help="characterization-as-a-service: admission-controlled job queue",
-    )
-    p.add_argument("--host", default="127.0.0.1", help="HTTP bind address")
-    p.add_argument("--port", type=int, default=8357,
-                   help="HTTP port (0 picks an ephemeral one)")
-    p.add_argument("--port-file", metavar="PATH",
-                   help="write the bound port here (handy with --port 0)")
-    p.add_argument("--no-http", action="store_true",
-                   help="run without the HTTP front end (embedded/test use)")
-    p.add_argument("--verbose", action="store_true",
-                   help="log each HTTP request to stderr")
-    p.add_argument("--workers", "-J", type=int, default=2,
-                   help="worker threads executing jobs")
-    p.add_argument("--capacity", type=int, default=64,
-                   help="queue capacity; submissions beyond it are shed "
-                        "with a retry-after hint")
-    p.add_argument("--quota", action="append", metavar="TENANT=N",
-                   help="per-tenant cap on queued+running jobs (repeatable)")
-    p.add_argument("--default-quota", type=int, default=None,
-                   help="quota for tenants without an explicit --quota")
-    p.add_argument("--weight", action="append", metavar="TENANT=N",
-                   help="weighted-fair dequeue share (repeatable; default 1)")
-    p.add_argument("--breaker-threshold", type=int, default=3,
-                   help="consecutive worker crashes that trip the breaker")
-    p.add_argument("--breaker-cooldown", type=float, default=2.0,
-                   metavar="S", help="seconds before a half-open probe")
-    p.add_argument("--max-attempts", type=int, default=3,
-                   help="attempts per job across worker crashes")
-    p.add_argument("--deadline", type=float, default=None, metavar="S",
-                   help="default per-job deadline (propagates into stage "
-                        "timeouts); a job's own deadline_s wins if earlier")
-    p.add_argument("--task-timeout", type=float, default=None, metavar="S",
-                   help="watchdog timeout per isolated worker task")
-    p.add_argument("--results-dir", metavar="DIR",
-                   help="persist one canonical JSON result per job key "
-                        "here (reloaded on restart)")
-    p.add_argument("--drain-timeout", type=float, default=30.0, metavar="S",
-                   help="grace period for SIGTERM/SIGINT drain")
-    p.add_argument("--exit-when-idle", action="store_true",
-                   help="exit 0 once the queue and workers go idle "
-                        "(after --idle-grace seconds)")
-    p.add_argument("--idle-grace", type=float, default=0.5, metavar="S",
-                   help="how long idle must persist for --exit-when-idle")
-    _add_obs_flags(p)
-    _add_ledger_flags(p)
-    _add_kernel_flag(p)
-    _add_cache_flag(p)
-    _add_resilience_flags(p)
-    _add_journal_flags(p)
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "cache-serve",
-        help="shared remote artifact-cache blob server (third cache tier)",
-    )
-    p.add_argument("--host", default="127.0.0.1", help="HTTP bind address")
-    p.add_argument("--port", type=int, default=8358,
-                   help="HTTP port (0 picks an ephemeral one)")
-    p.add_argument("--port-file", metavar="PATH",
-                   help="write the bound port here (handy with --port 0)")
-    p.add_argument("--dir", default="~/.cache/repro-blobs",
-                   help="blob storage directory")
-    p.add_argument("--max-mb", type=float, default=None, metavar="MB",
-                   help="LRU cap on stored blob bytes (default: unbounded)")
-    p.add_argument("--verbose", action="store_true",
-                   help="log each HTTP request to stderr")
-    p.set_defaults(func=_cmd_cache_serve)
-
-    p = sub.add_parser("cache", help="artifact-cache maintenance")
-    csub = p.add_subparsers(dest="cache_action", required=True)
-    cp = csub.add_parser(
-        "scrub",
-        help="re-verify sha256 frames; quarantine corrupt entries",
-    )
-    cp.add_argument("--cache-dir", metavar="DIR", default=None,
-                    help="disk tier to scrub (default: $REPRO_CACHE_DIR "
-                         "or ~/.cache/repro)")
-    cp.add_argument("--remote", metavar="URL", default=None,
-                    help="also ask this blob server to scrub itself")
-    p.set_defaults(func=_cmd_cache)
 
     p = sub.add_parser("compare", help="Fig. 3: scenarios on EPFL circuits")
     p.add_argument("circuits", nargs="*", help="circuit names (default: all)")

@@ -115,12 +115,6 @@ class FlowRunner:
     afford.  Per-stage ``timeout_s`` budgets additionally bound each
     individual execution (clipped to the remaining deadline).
 
-    ``deadline_at`` is the absolute (``time.monotonic``) variant of
-    ``deadline_s``, for callers sharing one deadline across *several*
-    runners — a service job whose budget must cover every scenario's
-    flow, not restart per flow (see :mod:`repro.server`).  When both
-    are given the earlier one wins.
-
     ``journal`` is an optional :class:`repro.resilience.journal.RunJournal`;
     when given, every cacheable stage completion commits a ``stage``
     record (cache key, result digest, hit/miss) and every guard
@@ -135,7 +129,6 @@ class FlowRunner:
         stages: Sequence[Stage],
         span_prefix: str = "stage",
         deadline_s: float | None = None,
-        deadline_at: float | None = None,
         journal=None,
     ):
         names = [stage.name for stage in stages]
@@ -145,7 +138,6 @@ class FlowRunner:
         self.stages = tuple(stages)
         self.span_prefix = span_prefix
         self.deadline_s = deadline_s
-        self.deadline_at = deadline_at
         self.journal = journal
         #: ``"stage: violation"`` strings from guards that did not raise.
         self.guard_violations: list[str] = []
@@ -160,13 +152,8 @@ class FlowRunner:
             if remaining <= 0.0:
                 obs.count("stage.deadline_exceeded")
                 raise StageTimeoutError(
-                    "flow deadline exhausted before "
-                    f"stage {stage.name!r}"
-                    + (
-                        f" (budget {self.deadline_s:g}s)"
-                        if self.deadline_s is not None
-                        else ""
-                    ),
+                    f"flow deadline exhausted before stage {stage.name!r} "
+                    f"(budget {self.deadline_s:g}s)",
                     site=f"stage.{stage.name}",
                     timeout_s=self.deadline_s,
                 )
@@ -186,11 +173,6 @@ class FlowRunner:
         deadline = (
             None if self.deadline_s is None else time.monotonic() + self.deadline_s
         )
-        if self.deadline_at is not None:
-            deadline = (
-                self.deadline_at if deadline is None
-                else min(deadline, self.deadline_at)
-            )
         artifacts: dict[str, Any] = dict(initial)
         for stage in self.stages:
             missing = [name for name in stage.inputs if name not in artifacts]

@@ -56,7 +56,7 @@ _DISABLED = {"", "0", "off", "none", "disabled"}
 #: the pipeline taxonomy in ``docs/OBSERVABILITY.md`` — coarse enough
 #: to stay a handful of rows per run, fine enough to localize a
 #: regression to a stage before reaching for ``--trace``.
-_STAGE_PREFIXES = ("flow.", "stage.", "isolation.", "charlib.", "synth.", "server.")
+_STAGE_PREFIXES = ("flow.", "stage.", "isolation.", "charlib.", "synth.")
 
 #: Counter prefixes worth persisting per run (cache health, kernel
 #: path, resilience events).  High-cardinality hot-loop counters
@@ -80,11 +80,6 @@ _COUNTER_PREFIXES = (
     # STA engine health: incremental-vs-full retime mix and query
     # volume, so ``repro ledger compare`` surfaces timing-path drift.
     "sta.",
-    # Characterization-service health: admitted/shed/coalesced/
-    # completed jobs, breaker trips — one serve session appends one
-    # record on shutdown, so service behavior trends like everything
-    # else (docs/ROBUSTNESS.md, "Service robustness").
-    "server.",
 )
 
 

@@ -154,11 +154,10 @@ class Tracer:
         print(tracer.render_summary())
     """
 
-    #: Per-histogram sample bound.  A batch run never comes close, but
-    #: a long-running ``repro serve`` process observes a latency sample
-    #: per job forever — unbounded lists would be a slow memory leak.
-    #: When a histogram reaches the bound its oldest half is dropped,
-    #: so percentiles always describe the most recent window.
+    #: Per-histogram sample bound, so a tracer's memory stays bounded
+    #: however long it stays installed; a single flow run never comes
+    #: close.  When a histogram reaches the bound its oldest half is
+    #: dropped, so percentiles always describe the most recent window.
     MAX_HISTOGRAM_SAMPLES = 8192
 
     def __init__(self, sinks: Iterable[Any] | None = None):

@@ -572,30 +572,3 @@ def process_map(
         )
     return [results[i] for i in range(len(items))]
 
-
-def run_isolated(
-    fn: Callable[[Any], Any],
-    payload: Any,
-    *,
-    label: str = "task",
-    task_timeout_s: float | None = None,
-    max_rss_mb: float | None = None,
-) -> Any:
-    """Run one task in a supervised worker subprocess.
-
-    The single-job entry point the characterization service's
-    ``isolate="process"`` tier uses: same watchdog and crash semantics
-    as :func:`process_map`, but with ``retries=0`` — a worker death
-    surfaces immediately as :class:`WorkerCrashError` so the caller's
-    own retry/circuit-breaker policy (not this layer) decides what
-    happens next.
-    """
-    return process_map(
-        fn,
-        [payload],
-        1,
-        labels=[label],
-        task_timeout_s=task_timeout_s,
-        max_rss_mb=max_rss_mb,
-        retries=0,
-    )[0]

@@ -18,11 +18,8 @@ from repro.core import ArtifactCache, using_cache
 
 
 @pytest.fixture(autouse=True)
-def _fresh_artifact_cache(monkeypatch):
-    # A developer's ambient remote-cache tier must not leak into tests:
-    # every test cache is memory-only unless the test opts in.
-    monkeypatch.delenv("REPRO_CACHE_REMOTE", raising=False)
-    with using_cache(ArtifactCache(remote=False)):
+def _fresh_artifact_cache():
+    with using_cache(ArtifactCache()):
         yield
 
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -9,6 +11,20 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_offers_only_flow_commands(self, capsys):
+        (sub,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(sub.choices) == {
+            "characterize", "synthesize", "evaluate", "compare", "calibrate",
+            "benchmarks", "export", "report-trace", "ledger",
+        }
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "ctrl", "--cache-remote", "h:1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache-remote" in capsys.readouterr().err
 
     def test_scenario_choices_enforced(self):
         with pytest.raises(SystemExit):

@@ -1,5 +1,8 @@
 """Tests for the content-addressed artifact cache layer."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.benchgen import build_circuit
@@ -14,8 +17,10 @@ from repro.core import (
     set_default_cache,
     using_cache,
 )
+from repro.core.artifacts import _HEADER_LEN, _decode_entry, _encode_entry
 from repro.mapping.cost import p_a_d, p_d_a
 from repro.pdk import cryo5_technology
+from repro.resilience.errors import CacheCorruptionError
 from repro.sta.timing import SignoffConfig
 
 
@@ -95,6 +100,55 @@ class TestArtifactCacheMemory:
         assert cache.stats()["memory_entries"] == 4
         assert cache.get("k:0") is None
         assert cache.get("k:9") == 9
+
+    def test_key_lock_released_when_compute_raises(self):
+        cache = ArtifactCache()
+
+        def fail():
+            raise RuntimeError("compute failed")
+
+        for i in range(3):
+            with pytest.raises(RuntimeError):
+                cache.get_or_compute(f"k:{i}", fail)
+        assert cache._key_locks == {}
+        # A retry after the failure still computes and caches.
+        assert cache.get_or_compute("k:0", lambda: 7) == 7
+        assert cache.get_or_compute("k:0", fail) == 7
+        assert cache._key_locks == {}
+
+    def test_concurrent_callers_compute_once(self):
+        import sys
+        import threading
+        import time
+
+        cache = ArtifactCache()
+        calls, results = [], []
+
+        def compute():
+            calls.append(1)
+            time.sleep(0.01)
+            return "v"
+
+        barrier = threading.Barrier(8)
+
+        def caller():
+            barrier.wait(timeout=10)
+            results.append(cache.get_or_compute("k:1", compute))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == ["v"] * 8
+        assert len(calls) == 1
+        assert cache._key_locks == {}
 
     def test_default_cache_swap(self):
         original = default_cache()
@@ -182,6 +236,49 @@ class TestDiskBackend:
         assert list(tmp_path.glob("*.corrupt"))
         cache.clear(disk=True)
         assert list(tmp_path.glob("*")) == []
+
+
+class TestFraming:
+    """The disk entry format: ``b"RPRAC2\\0" | sha256(payload) | payload``."""
+
+    def test_wrong_magic_rejected(self):
+        frame = _encode_entry("x")
+        with pytest.raises(CacheCorruptionError):
+            _decode_entry(b"X" + frame[1:])
+
+    def test_truncation_detected(self):
+        frame = _encode_entry([1, 2, 3])
+        for cut in (0, 3, _HEADER_LEN - 1, _HEADER_LEN, len(frame) - 1):
+            with pytest.raises(CacheCorruptionError):
+                _decode_entry(frame[:cut])
+
+    def test_digest_checked_before_unpickling(self, monkeypatch):
+        loads = []
+        monkeypatch.setattr(pickle, "loads", lambda data: loads.append(data))
+        frame = _encode_entry({"x": 1})
+        for at in (len(frame) - 1, _HEADER_LEN - 1):  # a payload byte, a digest byte
+            bad = bytearray(frame)
+            bad[at] ^= 0x01
+            with pytest.raises(CacheCorruptionError, match="checksum"):
+                _decode_entry(bytes(bad))
+        assert loads == []
+        _decode_entry(frame)  # the spy is live: a good frame reaches it
+        assert len(loads) == 1
+
+    @pytest.mark.no_chaos  # an injected cache.disk fault would change the written bytes
+    def test_disk_layout_is_pinned(self, tmp_path):
+        key, value = "lib:pinned", {"cells": ["inv", "nand2"], "t": 10.0}
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        entry = b"RPRAC2\0" + hashlib.sha256(payload).digest() + payload
+        name = hashlib.sha256(key.encode()).hexdigest()[:40] + ".pkl"
+        (tmp_path / "read").mkdir()
+        (tmp_path / "read" / name).write_bytes(entry)
+        reader = ArtifactCache(cache_dir=tmp_path / "read")
+        assert reader.get(key) == value
+        assert reader.stats()["disk_hits"] == 1
+        ArtifactCache(cache_dir=tmp_path / "write").put(key, value)
+        assert [p.name for p in (tmp_path / "write").iterdir()] == [name]
+        assert (tmp_path / "write" / name).read_bytes() == entry
 
 
 class TestCacheVeto:
@@ -376,9 +473,24 @@ class TestDiskBounds:
         assert tracer.counters["cache.corrupt_evicted"] == 3
         assert fresh.stats()["corrupt_evicted"] == 3
 
-    def test_env_knobs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "12.5")
-        monkeypatch.setenv("REPRO_CACHE_MAX_CORRUPT", "3")
+    @pytest.mark.parametrize(
+        "raw_mb, raw_corrupt, max_mb, max_corrupt",
+        [
+            ("12.5", "3", 12.5, 3),
+            ("nan", "nan", None, 16),
+            ("inf", "inf", None, 16),
+            ("-5", "-5", None, 16),
+        ],
+        ids=["valid", "nan", "inf", "negative"],
+    )
+    def test_env_knobs(self, tmp_path, monkeypatch, raw_mb, raw_corrupt, max_mb, max_corrupt):
+        # Invalid sizes mean "unset": they must neither crash the cache
+        # (the default one is built at import) nor evict every entry.
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", raw_mb)
+        monkeypatch.setenv("REPRO_CACHE_MAX_CORRUPT", raw_corrupt)
         cache = ArtifactCache(cache_dir=tmp_path)
-        assert cache.max_disk_mb == 12.5
-        assert cache.max_corrupt_entries == 3
+        assert cache.max_disk_mb == max_mb
+        assert cache.max_corrupt_entries == max_corrupt
+        for i in range(3):
+            cache.put(f"k:{i}", i)
+        assert len(list(tmp_path.glob("*.pkl"))) == 3
