@@ -1,28 +1,26 @@
 """Kernel performance-trajectory runner.
 
 Times the computational kernels the flow is built on — AIG simulation,
-cut enumeration, SAT, SPICE transients (both stamping kernels), a
-charlib SPICE arc (scalar vs vector), a whole NLDM grid through the
-trajectory-batched solver (batch vs vector), a full SPICE cell
-characterization, and a device Monte-Carlo sweep — and writes one
-machine-readable ``BENCH_kernels.json``.  CI's bench-smoke job runs
-this once per change and archives the JSON, so the numbers form a
-trajectory across commits rather than a one-off measurement.
+cut enumeration, SAT, a lone SPICE transient, a lone charlib SPICE arc
+point, a whole NLDM grid through the trajectory-batched solver, a full
+SPICE cell characterization, and a device Monte-Carlo sweep — and
+writes one machine-readable ``BENCH_kernels.json``.  CI's
+bench-regression job (``benchmarks/regression.py``) runs it once per
+change, gates it against the committed baseline and archives the
+JSON, so the numbers form a trajectory across commits rather than a
+one-off measurement.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python benchmarks/kernels.py [-o BENCH_kernels.json]
-        [--repeats N] [--assert-batch-default] [--assert-speedup MIN]
+        [--repeats N]
 
-Each section reports best-of-``repeats`` wall time; the SPICE and
-charlib sections additionally report their kernel pair and the derived
-speedup.  Observability counters recorded during the run
-(``spice.kernel.*``, ``spice.batch.*``, ``charlib.spice.kernel.*``,
-Newton statistics) are embedded under ``"counters"`` so the artifact
-also proves *which* kernel path executed — ``--assert-batch-default``
-fails the run if the default path was not the trajectory-batched one,
-and ``--assert-speedup MIN`` fails it if the whole-grid batch kernel
-beats the per-instance vector loop by less than ``MIN``x.
+Each section reports the best-of-``repeats`` wall time of the
+production path as ``seconds``.  Observability counters recorded
+during the run (``spice.kernel.*``, ``spice.batch.*``, Newton
+statistics) are embedded under ``"counters"`` so the artifact also
+shows *which* SPICE path executed: ``spice.kernel.vector`` for lone
+transients, ``spice.kernel.batch`` for whole grids.
 
 See ``docs/PERFORMANCE.md`` for the schema and how to add a section.
 """
@@ -97,7 +95,7 @@ def bench_sat(repeats: int) -> dict:
     }
 
 
-def _inverter_transient(settings):
+def _inverter_transient():
     from repro.device import CryoFinFET, default_nfet_5nm, default_pfet_5nm
     from repro.pdk import cryo5_technology
     from repro.spice import Circuit, DC, Simulator, ramp
@@ -109,87 +107,61 @@ def _inverter_transient(settings):
     circuit.add_finfet("mp", "y", "a", "vdd", CryoFinFET(default_pfet_5nm(nfin=3)))
     circuit.add_finfet("mn", "y", "a", "0", CryoFinFET(default_nfet_5nm(nfin=2)))
     circuit.add_capacitor("cl", "y", "0", 2e-15)
-    return Simulator(circuit, 10.0, settings=settings).transient(2e-10, 1e-12)
+    return Simulator(circuit, 10.0).transient(2e-10, 1e-12)
 
 
 def bench_spice_transient(repeats: int) -> dict:
-    from repro.spice import SimulatorSettings
-
-    scalar = best_of(
-        lambda: _inverter_transient(SimulatorSettings(kernel="scalar")), repeats
-    )
-    vector = best_of(
-        lambda: _inverter_transient(SimulatorSettings(kernel="vector")), repeats
-    )
+    """A lone transient: the serial ``Simulator`` path."""
     return {
-        "scalar_seconds": scalar,
-        "vector_seconds": vector,
-        "speedup": scalar / vector,
+        "seconds": best_of(_inverter_transient, repeats),
         "detail": "CMOS inverter, 10 K, 200 ps @ 1 ps trapezoidal",
     }
 
 
-def _charlib_arc(settings):
+def _charlib_arc():
     from repro.charlib.spice_char import SpiceCharacterizer
     from repro.pdk import cryo5_technology
     from repro.pdk.catalog import make_aoi
 
-    char = SpiceCharacterizer(cryo5_technology(), 77.0, settings=settings)
+    char = SpiceCharacterizer(cryo5_technology(), 77.0)
     cell = make_aoi("221", 2)
     return char.measure_arc(cell, "A1", "Y", True, 2e-11, 2e-15)
 
 
 def bench_charlib_arc(repeats: int) -> dict:
-    from repro.spice import SimulatorSettings
-
-    scalar = best_of(
-        lambda: _charlib_arc(SimulatorSettings(kernel="scalar")), repeats
-    )
-    vector = best_of(
-        lambda: _charlib_arc(SimulatorSettings(kernel="vector")), repeats
-    )
+    """One arc point through ``measure_arc``: a lone serial transient."""
     return {
-        "scalar_seconds": scalar,
-        "vector_seconds": vector,
-        "speedup": scalar / vector,
+        "seconds": best_of(_charlib_arc, repeats),
         "detail": "AOI221x2 A1->Y rising arc, SPICE backend, 77 K",
     }
 
 
-def _charlib_full_grid(settings):
+def _charlib_full_grid():
     from repro.charlib.spice_char import SpiceCharacterizer
     from repro.pdk import cryo5_technology
     from repro.pdk.catalog import make_inv
 
     tech = cryo5_technology()
-    char = SpiceCharacterizer(tech, 77.0, settings=settings)
+    char = SpiceCharacterizer(tech, 77.0)
     return char.characterize_cell(make_inv(1), tech.slew_grid, tech.load_grid)
 
 
 def bench_charlib_full_arc(repeats: int) -> dict:
-    """Whole 7x7 NLDM grid: one trajectory batch vs the serial loop.
+    """Whole 7x7 NLDM grid through one trajectory batch.
 
-    This is the workload the batch kernel exists for — all 98 arc
-    transients of the grid advance in lockstep through one batched
-    Newton solve per time step instead of 98 serial transients.  Both
-    paths are single-shot (the grid takes seconds; best-of-``repeats``
-    would triple the bench-smoke budget for noise filtering the gate's
-    tolerance already absorbs).
+    All 98 arc transients of the grid advance in lockstep through one
+    batched Newton solve per time step.  Single-shot: the grid takes
+    seconds, and best-of-``repeats`` would triple the budget for noise
+    filtering the gate's tolerance already absorbs.
     """
-    from repro.spice import SimulatorSettings
-
-    batch = best_of(lambda: _charlib_full_grid(SimulatorSettings(kernel="batch")), 1)
-    vector = best_of(lambda: _charlib_full_grid(SimulatorSettings(kernel="vector")), 1)
     return {
-        "batch_seconds": batch,
-        "vector_seconds": vector,
-        "speedup": vector / batch,
+        "seconds": best_of(_charlib_full_grid, 1),
         "detail": "INVx1 full 7x7 slew/load grid, SPICE backend, 77 K, single-shot",
     }
 
 
 def bench_charlib_cell_flow(repeats: int) -> dict:
-    """Full characterization entry point on the default (batch) path."""
+    """Full characterization entry point (every arc grid batched)."""
     from repro.charlib import characterize_library
     from repro.pdk import cryo5_technology
     from repro.pdk.catalog import make_nand
@@ -245,7 +217,6 @@ SECTIONS = {
 
 def run_benchmarks(repeats: int) -> dict:
     from repro import obs
-    from repro.spice import default_kernel
 
     results = {}
     with obs.Tracer() as tracer:
@@ -255,7 +226,6 @@ def run_benchmarks(repeats: int) -> dict:
     report = {
         "schema": "repro-bench-kernels/1",
         "repeats": repeats,
-        "default_kernel": default_kernel(),
         "results": results,
         "counters": {
             k: v for k, v in sorted(tracer.counters.items())
@@ -269,20 +239,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-o", "--output", default="BENCH_kernels.json")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--assert-batch-default",
-        action="store_true",
-        help="fail unless the default-configured runs used the trajectory-"
-             "batched kernel",
-    )
-    parser.add_argument(
-        "--assert-speedup",
-        type=float,
-        default=None,
-        metavar="MIN",
-        help="fail unless the whole-grid charlib_full_arc section shows at "
-             "least MINx batch-over-vector speedup",
-    )
     args = parser.parse_args(argv)
 
     report = run_benchmarks(args.repeats)
@@ -291,43 +247,8 @@ def main(argv=None) -> int:
         fh.write("\n")
 
     for name, entry in report["results"].items():
-        if "speedup" in entry:
-            pair = [
-                f"{key.removesuffix('_seconds')} {entry[key] * 1e3:.1f} ms"
-                for key in ("scalar_seconds", "vector_seconds", "batch_seconds")
-                if key in entry
-            ]
-            print(f"[bench] {name}: {', '.join(pair)} ({entry['speedup']:.2f}x)")
-        else:
-            print(f"[bench] {name}: {entry['seconds'] * 1e3:.2f} ms")
+        print(f"[bench] {name}: {entry['seconds'] * 1e3:.2f} ms")
     print(f"[bench] wrote {args.output}")
-
-    if args.assert_batch_default:
-        if report["default_kernel"] != "batch":
-            print("[bench] FAIL: default kernel is not 'batch'", file=sys.stderr)
-            return 1
-        if report["counters"].get("spice.batch.runs", 0) <= 0:
-            print(
-                "[bench] FAIL: batch kernel path never executed "
-                "(spice.batch.runs counter is 0)",
-                file=sys.stderr,
-            )
-            return 1
-        print("[bench] batch kernel default confirmed by obs counters")
-
-    if args.assert_speedup is not None:
-        speedup = report["results"]["charlib_full_arc"]["speedup"]
-        if speedup < args.assert_speedup:
-            print(
-                f"[bench] FAIL: charlib_full_arc batch speedup {speedup:.2f}x "
-                f"< required {args.assert_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"[bench] charlib_full_arc speedup {speedup:.2f}x >= "
-            f"{args.assert_speedup:.2f}x"
-        )
     return 0
 
 

@@ -30,10 +30,7 @@ Gate rules (see ``docs/PERFORMANCE.md``):
 * a section's normalized slowdown beyond ``--tolerance`` (default 25%,
   per-section overrides in the baseline's ``"tolerances"``) fails;
 * sections faster than ``--min-seconds`` are reported but never fail
-  (sub-millisecond timings are scheduler noise);
-* the scalar/vector sections must keep ``speedup >= --min-speedup``
-  (default 1.0): the vectorized path must never lose to the scalar
-  reference path, regardless of machine.
+  (sub-millisecond timings are scheduler noise).
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ BASELINE_SCHEMA = "repro-bench-baseline/1"
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "BENCH_baseline.json"
 DEFAULT_TOLERANCE = 0.25
 DEFAULT_MIN_SECONDS = 0.005
-DEFAULT_MIN_SPEEDUP = 1.0
 
 #: Calibration bounds: a machine-speed ratio outside this window means
 #: the workload measured something other than CPU speed (a loaded CI
@@ -81,30 +77,12 @@ def calibrate(repeats: int = 5) -> float:
 
 
 def extract_metrics(report: dict) -> dict[str, float]:
-    """Flatten a ``BENCH_kernels.json`` report into gateable timings.
-
-    Single-kernel sections contribute ``<name>``; kernel pairs
-    contribute the fastest-path figure — ``<name>.batch`` when the
-    section ran the trajectory-batched kernel, else ``<name>.vector``
-    — because the default path is what users pay for; the reference
-    path is covered by the speedup floor.
-    """
-    metrics: dict[str, float] = {}
-    for name, entry in (report.get("results") or {}).items():
-        if "seconds" in entry:
-            metrics[name] = entry["seconds"]
-        elif "batch_seconds" in entry:
-            metrics[f"{name}.batch"] = entry["batch_seconds"]
-        elif "vector_seconds" in entry:
-            metrics[f"{name}.vector"] = entry["vector_seconds"]
-    return metrics
-
-
-def extract_speedups(report: dict) -> dict[str, float]:
+    """Flatten a ``BENCH_kernels.json`` report into gateable timings:
+    each section's ``seconds`` under its own name."""
     return {
-        name: entry["speedup"]
+        name: entry["seconds"]
         for name, entry in (report.get("results") or {}).items()
-        if "speedup" in entry
+        if "seconds" in entry
     }
 
 
@@ -115,7 +93,6 @@ def check(
     current_calibration: float,
     tolerance: float = DEFAULT_TOLERANCE,
     min_seconds: float = DEFAULT_MIN_SECONDS,
-    min_speedup: float = DEFAULT_MIN_SPEEDUP,
 ) -> tuple[list[dict], int]:
     """Compare a fresh report against the baseline.
 
@@ -123,8 +100,7 @@ def check(
     report table: metric, baseline seconds (already scaled to this
     machine), current seconds, slowdown fraction, and status — ``ok``,
     ``noise`` (below the timing floor), ``new`` (no baseline figure),
-    or ``regression``.  Speedup-floor violations are extra findings
-    with status ``speedup-regression``.
+    or ``regression``.
     """
     base_report = baseline.get("report") or {}
     base_cal = baseline.get("calibration_seconds") or current_calibration
@@ -159,15 +135,6 @@ def check(
             {"metric": name, "base_s": scaled, "cur_s": cur_s,
              "slowdown": slowdown, "status": status}
         )
-
-    for name, speedup in sorted(extract_speedups(current_report).items()):
-        if speedup < min_speedup:
-            failures += 1
-            findings.append(
-                {"metric": f"{name}.speedup", "base_s": min_speedup,
-                 "cur_s": speedup, "slowdown": None,
-                 "status": "speedup-regression"}
-            )
     return findings, failures
 
 
@@ -186,7 +153,6 @@ def run_full_suite(repeats: int) -> dict:
     sta_report = run_sta_benchmarks(repeats)
     report["results"].update(sta_report["results"])
     report["counters"].update(sta_report["counters"])
-    report["default_engine"] = sta_report["default_engine"]
     return report
 
 
@@ -208,9 +174,6 @@ def _render(findings: list[dict], scale: float) -> str:
         base = f"{row['base_s'] * 1e3:10.2f}" if row["base_s"] is not None else "         -"
         cur = f"{row['cur_s'] * 1e3:10.2f}" if row["cur_s"] is not None else "         -"
         slow = f"{row['slowdown']:+9.1%}" if row["slowdown"] is not None else "        -"
-        if row["status"] == "speedup-regression":
-            base = f"{row['base_s']:10.2f}"
-            cur = f"{row['cur_s']:10.2f}"
         lines.append(f"{row['metric']:26s} {base} {cur} {slow}  {row['status']}")
     return "\n".join(lines)
 
@@ -228,8 +191,6 @@ def main(argv=None) -> int:
                         help="allowed fractional slowdown (default 0.25)")
     parser.add_argument("--min-seconds", type=float, default=DEFAULT_MIN_SECONDS,
                         help="timings below this never fail (default 5 ms)")
-    parser.add_argument("--min-speedup", type=float, default=DEFAULT_MIN_SPEEDUP,
-                        help="vector/scalar speedup floor (default 1.0)")
     parser.add_argument("--rebaseline", action="store_true",
                         help="write the fresh run as the new baseline "
                              "instead of gating")
@@ -287,7 +248,6 @@ def main(argv=None) -> int:
         current_calibration=calibration,
         tolerance=args.tolerance,
         min_seconds=args.min_seconds,
-        min_speedup=args.min_speedup,
     )
     print(_render(findings, scale))
     if failures:

@@ -1,29 +1,25 @@
 """STA performance-trajectory runner.
 
-Times the static-timing engines on the largest benchgen circuits at
-the default preset — one full-analysis section (legacy per-gate loop
-vs. the levelized array graph) and one incremental section (repeated
-sizing-style cost queries: legacy full re-analysis vs.
-``set_cell``/``update``/``max_delay`` on a compiled
-:class:`~repro.sta.graph.TimingGraph`) — and writes one
-machine-readable ``BENCH_sta.json``.  CI's bench-smoke job runs this
-once per change and archives the JSON next to ``BENCH_kernels.json``,
-so the numbers form a trajectory across commits.
+Times the levelized array timing graph
+(:class:`~repro.sta.graph.TimingGraph`) on the largest benchgen
+circuits at the default preset — one full-analysis section and two
+incremental sections (repeated sizing-style cost queries:
+``set_cell``/``update``/``max_delay`` on a compiled graph) — and writes
+one machine-readable ``BENCH_sta.json``.  CI's bench-regression job
+(``benchmarks/regression.py``) runs it once per change together with
+``benchmarks/kernels.py``, so the numbers form a trajectory across
+commits.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python benchmarks/sta.py [-o BENCH_sta.json]
-        [--repeats N] [--assert-speedup X] [--assert-graph-default]
+        [--repeats N]
 
-Each scalar/vector pair is best-of-``repeats`` wall time (``scalar``
-is the legacy engine, ``vector`` the graph engine, matching the
-kernels-report convention so ``benchmarks/regression.py`` tracks both
-without special cases).  Observability counters recorded during the
-run (``sta.*``) are embedded under ``"counters"`` so the artifact also
-proves *which* timing path executed — ``--assert-speedup X`` fails the
-run if the incremental-query section comes in under ``X``×, and
-``--assert-graph-default`` fails it if the environment has overridden
-the graph engine default.
+Each section reports best-of-``repeats`` wall time as ``seconds``.
+Observability counters recorded during the run (``sta.*``) are
+embedded under ``"counters"``; the run fails if
+``sta.incremental_hits`` shows the incremental retime path never
+executed.
 
 See ``docs/PERFORMANCE.md`` for the schema and how to add a section.
 """
@@ -35,7 +31,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import replace
 
 
 def best_of(fn, repeats: int) -> float:
@@ -79,7 +74,7 @@ def fixtures() -> dict:
 
 def _swap_schedule(netlist, library, count: int, seed: int = 7):
     """Deterministic within-family cell swaps (same footprint and pin
-    order, so both engines take their cheap path — exactly the edits
+    order, so the graph takes its incremental path — exactly the edits
     the gate sizer issues)."""
     families: dict[tuple, list[str]] = {}
     for name, cell in library.cells.items():
@@ -110,58 +105,35 @@ def _swap_schedule(netlist, library, count: int, seed: int = 7):
 
 
 def bench_full(circuit: str, repeats: int) -> dict:
-    """Full-netlist analysis: legacy loop vs. compiled graph."""
+    """Full-netlist analysis on a compiled graph."""
     from repro.sta.graph import TimingGraph
-    from repro.sta.timing import StaticTimingAnalyzer
 
     fix = fixtures()
     netlist, library = fix["netlists"][circuit], fix["library"]
 
-    # The graph side finishes in ~10 ms, where allocator/GC spikes are
+    # The analysis finishes in ~10 ms, where allocator/GC spikes are
     # visible; extra repeats keep best-of stable.
     repeats = max(repeats, 8)
-    legacy = StaticTimingAnalyzer(netlist, library, engine="legacy")
-    scalar = best_of(lambda: legacy.analyze(), repeats)
-
     t0 = time.perf_counter()
     graph = TimingGraph(netlist, library)
     build = time.perf_counter() - t0
-    vector = best_of(lambda: graph.analyze(), repeats)
     return {
-        "scalar_seconds": scalar,
-        "vector_seconds": vector,
-        "speedup": scalar / vector,
+        "seconds": best_of(lambda: graph.analyze(), repeats),
         "build_seconds": build,
         "detail": f"{circuit}/default ({netlist.num_gates} gates), "
-        "full analysis, legacy vs graph (graph compile reported "
-        "separately as build_seconds)",
+        "full analysis (graph compile reported separately as "
+        "build_seconds)",
     }
 
 
 def bench_incremental(circuit: str, repeats: int) -> dict:
     """Repeated sizing-style cost queries: one cell swap, then the new
-    worst delay.  Legacy pays a full re-analysis per query; the graph
-    engine re-times only the affected cone."""
+    worst delay; the graph re-times only the affected cone."""
     from repro.sta.graph import TimingGraph
-    from repro.sta.timing import StaticTimingAnalyzer
 
     fix = fixtures()
     netlist, library = fix["netlists"][circuit], fix["library"]
     schedule = _swap_schedule(netlist, library, QUERIES)
-
-    # Legacy: mutate the netlist in place (the sizer's edit pattern)
-    # and pay a full analysis per query.  The analyzer is reused so its
-    # per-analyzer caches (satellite of the same change) are warm.
-    legacy = StaticTimingAnalyzer(netlist, library, engine="legacy")
-    originals = list(netlist.gates)
-
-    def legacy_queries():
-        for gi, cell in schedule:
-            netlist.gates[gi] = replace(netlist.gates[gi], cell=cell)
-            legacy.analyze().max_delay
-        netlist.gates[:] = originals
-
-    scalar = best_of(legacy_queries, repeats)
 
     graph = TimingGraph(netlist, library)
     graph.analyze()
@@ -176,14 +148,11 @@ def bench_incremental(circuit: str, repeats: int) -> dict:
             graph.set_cell(gi, cell)
         graph.update()
 
-    vector = best_of(graph_queries, repeats)
     return {
-        "scalar_seconds": scalar,
-        "vector_seconds": vector,
-        "speedup": scalar / vector,
+        "seconds": best_of(graph_queries, repeats),
         "detail": f"{circuit}/default ({netlist.num_gates} gates), "
-        f"{QUERIES} within-family swap + worst-delay queries, legacy "
-        "full re-analysis vs incremental retime",
+        f"{QUERIES} within-family swap + worst-delay queries, "
+        "incremental retime",
     }
 
 
@@ -198,7 +167,6 @@ SECTIONS = {
 
 def run_benchmarks(repeats: int) -> dict:
     from repro import obs
-    from repro.sta.timing import default_engine
 
     results = {}
     with obs.Tracer() as tracer:
@@ -208,7 +176,6 @@ def run_benchmarks(repeats: int) -> dict:
     report = {
         "schema": "repro-bench-sta/1",
         "repeats": repeats,
-        "default_engine": default_engine(),
         "results": results,
         "counters": {
             k: v for k, v in sorted(tracer.counters.items())
@@ -222,17 +189,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-o", "--output", default="BENCH_sta.json")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--assert-speedup",
-        type=float,
-        metavar="X",
-        help="fail unless every incremental section reaches X x",
-    )
-    parser.add_argument(
-        "--assert-graph-default",
-        action="store_true",
-        help="fail unless the graph engine is the configured default",
-    )
     args = parser.parse_args(argv)
 
     report = run_benchmarks(args.repeats)
@@ -241,38 +197,17 @@ def main(argv=None) -> int:
         fh.write("\n")
 
     for name, entry in report["results"].items():
-        print(
-            f"[bench] {name}: legacy {entry['scalar_seconds'] * 1e3:.1f} ms, "
-            f"graph {entry['vector_seconds'] * 1e3:.1f} ms "
-            f"({entry['speedup']:.2f}x)"
-        )
+        print(f"[bench] {name}: {entry['seconds'] * 1e3:.1f} ms")
     print(f"[bench] wrote {args.output}")
 
-    status = 0
-    if args.assert_graph_default and report["default_engine"] != "graph":
-        print("[bench] FAIL: default STA engine is not 'graph'", file=sys.stderr)
-        status = 1
-    if args.assert_speedup is not None:
-        for name, entry in report["results"].items():
-            if not name.startswith("sta_incremental"):
-                continue
-            if entry["speedup"] < args.assert_speedup:
-                print(
-                    f"[bench] FAIL: {name} speedup {entry['speedup']:.2f}x "
-                    f"< required {args.assert_speedup:g}x",
-                    file=sys.stderr,
-                )
-                status = 1
-    if status == 0 and (args.assert_speedup or args.assert_graph_default):
-        print("[bench] assertions passed")
     if report["counters"].get("sta.incremental_hits", 0) <= 0:
         print(
             "[bench] FAIL: incremental retime path never executed "
             "(sta.incremental_hits counter is 0)",
             file=sys.stderr,
         )
-        status = 1
-    return status
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -80,24 +80,3 @@ def test_perf_spice_inverter_transient(benchmark):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.voltage("y")[-1] < 0.05
-
-
-def test_perf_spice_inverter_transient_scalar(benchmark):
-    # Reference-path counterpart of the default (vector) measurement
-    # above; the trajectory runner (kernels.py) tracks the ratio.
-    from repro.spice import SimulatorSettings
-
-    tech = cryo5_technology()
-
-    def run():
-        circuit = Circuit("inv")
-        circuit.add_vsource("vdd", "vdd", "0", DC(tech.vdd))
-        circuit.add_vsource("vin", "a", "0", ramp(2e-11, 1e-11, 0.0, tech.vdd))
-        circuit.add_finfet("mp", "y", "a", "vdd", CryoFinFET(default_pfet_5nm(nfin=3)))
-        circuit.add_finfet("mn", "y", "a", "0", CryoFinFET(default_nfet_5nm(nfin=2)))
-        circuit.add_capacitor("cl", "y", "0", 2e-15)
-        settings = SimulatorSettings(kernel="scalar")
-        return Simulator(circuit, 10.0, settings=settings).transient(2e-10, 2e-12)
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert result.voltage("y")[-1] < 0.05

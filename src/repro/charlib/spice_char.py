@@ -26,7 +26,6 @@ from ..resilience import faults
 from ..resilience.errors import MeasurementError
 from ..spice.batch import BatchedSimulator, TrajectorySpec
 from ..spice.engine import ConvergenceError, Simulator, TransientResult
-from ..spice.kernels import SimulatorSettings
 from ..spice.analysis import propagation_delay, supply_energy, transition_time
 from ..spice.netlist import Circuit
 from ..spice.waveforms import DC, ramp
@@ -43,10 +42,11 @@ def _instance_label(
 ) -> str:
     """Stable per-transient label for fault-injection scoping.
 
-    The serial loop and the trajectory batch both scope their fault
-    checks by this label, so each grid point consumes an identical
-    deterministic fault stream no matter how the grid is executed —
-    the property the fault-differential tests rely on.
+    A lone :meth:`SpiceCharacterizer.measure_arc` and the trajectory
+    batch both scope their fault checks by this label, so each grid
+    point consumes an identical deterministic fault stream no matter
+    how the grid is executed — the property the fault-differential
+    tests rely on.
     """
     edge = "r" if input_rising else "f"
     return f"{cell.name}:{pin}->{output}:{edge}:{slew!r}:{load!r}"
@@ -64,18 +64,9 @@ class ArcMeasurement:
 class SpiceCharacterizer:
     """Characterizes cells by transistor-level transient simulation."""
 
-    def __init__(
-        self,
-        tech: Technology,
-        temperature_k: float,
-        settings: SimulatorSettings | None = None,
-    ):
+    def __init__(self, tech: Technology, temperature_k: float):
         self.tech = tech
         self.temperature_k = temperature_k
-        #: SPICE engine settings used for every arc transient; the
-        #: default picks the kernel from :envvar:`REPRO_KERNEL`
-        #: (``batch`` unless overridden — see docs/PERFORMANCE.md).
-        self.settings = settings if settings is not None else SimulatorSettings()
         # Sense/sensitization logic is shared with the analytic backend.
         self._analytic = AnalyticCharacterizer(tech, temperature_k)
 
@@ -165,20 +156,18 @@ class SpiceCharacterizer:
     ) -> ArcMeasurement:
         """Run one transient and extract delay/slew/energy.
 
-        Fault checks run under the grid point's instance scope so the
-        serial loop and the trajectory batch consume identical
-        per-instance fault streams.
+        The serial :class:`Simulator` entry point for a single point;
+        whole grids go through :meth:`characterize_cell`.  Fault checks
+        run under the grid point's instance scope, so a point measured
+        here consumes the same per-instance fault stream as in a batch.
         """
         circuit, t_edge, t_stop, dt = self._arc_stimulus(
             cell, pin, output, input_rising, slew, load
         )
-        obs.count(f"charlib.spice.kernel.{self.settings.kernel}")
         with faults.instance_scope(
             _instance_label(cell, pin, output, input_rising, slew, load)
         ):
-            result = Simulator(
-                circuit, self.temperature_k, settings=self.settings
-            ).transient(t_stop, dt)
+            result = Simulator(circuit, self.temperature_k).transient(t_stop, dt)
             return self._extract(result, cell, pin, output, input_rising, t_edge)
 
     # ------------------------------------------------------------------
@@ -242,68 +231,14 @@ class SpiceCharacterizer:
         slews: tuple[float, ...],
         loads: tuple[float, ...],
     ) -> TimingArc:
-        """Measure one arc's full (slew x load) grid by transients.
+        """Measure one arc's full (slew x load) grid as one trajectory batch.
 
-        Under the ``batch`` kernel the whole grid (every slew x load
-        point, both edge directions) is submitted as one trajectory
-        batch; the serial per-point loop below is the reference path
-        for the ``vector``/``scalar`` kernels.
-        """
-        if self.settings.kernel == "batch":
-            return self._characterize_arc_batched(cell, template_arc, slews, loads)
-        pin, out = template_arc.related_pin, template_arc.output_pin
-        rise_d, fall_d, rise_s, fall_s, rise_e, fall_e = ([] for _ in range(6))
-        for slew in slews:
-            rd_row, fd_row, rs_row, fs_row, re_row, fe_row = ([] for _ in range(6))
-            for load in loads:
-                rising_out = self._measure_for_output_dir(
-                    cell, pin, out, True, slew, load, template_arc.timing_sense
-                )
-                falling_out = self._measure_for_output_dir(
-                    cell, pin, out, False, slew, load, template_arc.timing_sense
-                )
-                rd_row.append(rising_out.delay)
-                rs_row.append(rising_out.output_slew)
-                re_row.append(max(rising_out.energy, 0.0))
-                fd_row.append(falling_out.delay)
-                fs_row.append(falling_out.output_slew)
-                fe_row.append(max(falling_out.energy, 0.0))
-            rise_d.append(tuple(rd_row))
-            fall_d.append(tuple(fd_row))
-            rise_s.append(tuple(rs_row))
-            fall_s.append(tuple(fs_row))
-            rise_e.append(tuple(re_row))
-            fall_e.append(tuple(fe_row))
-
-        def table(rows):
-            return NLDMTable(tuple(slews), tuple(loads), tuple(rows))
-
-        return TimingArc(
-            related_pin=pin,
-            output_pin=out,
-            timing_sense=template_arc.timing_sense,
-            cell_rise=table(rise_d),
-            cell_fall=table(fall_d),
-            rise_transition=table(rise_s),
-            fall_transition=table(fall_s),
-            rise_power=table(rise_e),
-            fall_power=table(fall_e),
-        )
-
-    def _characterize_arc_batched(
-        self,
-        cell: CellTemplate,
-        template_arc: TimingArc,
-        slews: tuple[float, ...],
-        loads: tuple[float, ...],
-    ) -> TimingArc:
-        """Measure one arc's grid as a single trajectory batch.
-
-        Builds the same 2 x len(slews) x len(loads) transients the
-        serial loop would run — in the same order, under the same
-        per-instance fault labels — and advances them in lockstep
-        through :class:`BatchedSimulator`.  The waveforms (and thus the
-        tables) are bit-identical to the serial vector path.
+        Builds the 2 x len(slews) x len(loads) transients of the grid
+        (both output directions per point, in row-major order, each
+        under its per-instance fault label) and advances them in
+        lockstep through :class:`BatchedSimulator`.  The waveforms, and
+        so the tables, are bit-identical to measuring each point with
+        :meth:`measure_arc`.
         """
         pin, out = template_arc.related_pin, template_arc.output_pin
         sense = template_arc.timing_sense
@@ -329,11 +264,7 @@ class SpiceCharacterizer:
                         )
                     )
                     meta.append((t_edge, input_rising))
-        obs.count(f"charlib.spice.kernel.{self.settings.kernel}", len(specs))
-
-        results = BatchedSimulator(
-            specs, self.temperature_k, settings=self.settings
-        ).transient_all()
+        results = BatchedSimulator(specs, self.temperature_k).transient_all()
         measurements: list[ArcMeasurement] = []
         for spec, result, (t_edge, input_rising) in zip(specs, results, meta):
             with faults.instance_scope(spec.label):
@@ -375,22 +306,3 @@ class SpiceCharacterizer:
             rise_power=table(rise_e),
             fall_power=table(fall_e),
         )
-
-    def _measure_for_output_dir(
-        self,
-        cell: CellTemplate,
-        pin: str,
-        out: str,
-        output_rising: bool,
-        slew: float,
-        load: float,
-        sense: str,
-    ) -> ArcMeasurement:
-        """Measure with the input direction that produces the requested
-        output direction (by the arc's unateness; non-unate arcs use
-        the positive path)."""
-        if sense == "negative_unate":
-            input_rising = not output_rising
-        else:
-            input_rising = output_rising
-        return self.measure_arc(cell, pin, out, input_rising, slew, load)

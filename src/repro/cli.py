@@ -130,30 +130,6 @@ def _tracing(args: argparse.Namespace):
 
 
 @contextlib.contextmanager
-def _kernel_choice(args: argparse.Namespace):
-    """Pin the SPICE stamping kernel when ``--kernel`` asks for one.
-
-    The choice is carried in :envvar:`REPRO_KERNEL` so every
-    :class:`~repro.spice.SimulatorSettings` constructed anywhere in the
-    run (charlib SPICE backend, validation decks, worker threads) picks
-    it up without threading an argument through each layer.
-    """
-    kernel = getattr(args, "kernel", None)
-    if not kernel:
-        yield
-        return
-    previous = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_KERNEL"] = kernel
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = previous
-
-
-@contextlib.contextmanager
 def _faulting(args: argparse.Namespace):
     """Install an explicit fault plan when ``--faults`` asks for one.
 
@@ -199,9 +175,11 @@ def _journal_config(args: argparse.Namespace) -> dict:
         "faults", "jobs", "isolate", "json", "output", "report", "strict",
         "ledger", "no_ledger",
     }
+    # The retired SPICE kernel flag's default: keeps older journal and ledger digests valid.
+    config = {**vars(args), "kernel": None}
     return {
         key: value
-        for key, value in sorted(vars(args).items())
+        for key, value in sorted(config.items())
         if key not in excluded and not key.startswith("_")
     }
 
@@ -306,16 +284,6 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
         help="deterministic fault-injection plan (overrides "
              "$REPRO_FAULTS), e.g. 'seed=7;spice.newton:0.1'; "
              "see docs/ROBUSTNESS.md",
-    )
-
-
-def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel", choices=["batch", "vector", "scalar"], default=None,
-        help="SPICE stamping kernel: 'batch' (trajectory-batched NLDM "
-             "grids, default), 'vector' (per-instance vectorized "
-             "stamps) or 'scalar' (per-element reference path); "
-             "overrides $REPRO_KERNEL — see docs/PERFORMANCE.md",
     )
 
 
@@ -710,7 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", "-t", type=float, default=10.0)
     p.add_argument("--vdd", type=float, default=0.7)
     p.add_argument("--output", "-o", help="output .lib path")
-    _add_kernel_flag(p)
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser("synthesize", help="run a circuit through the flow")
@@ -726,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workers for the scenario fan-out")
     _add_obs_flags(p)
     _add_ledger_flags(p)
-    _add_kernel_flag(p)
     _add_cache_flag(p)
     _add_resilience_flags(p)
     _add_journal_flags(p)
@@ -742,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", "-j", help="JSON results output path")
     _add_obs_flags(p)
     _add_ledger_flags(p)
-    _add_kernel_flag(p)
     _add_cache_flag(p)
     _add_resilience_flags(p)
     _add_journal_flags(p)
@@ -828,7 +793,7 @@ def main(argv: list[str] | None = None) -> int:
         previous_term = signal.signal(signal.SIGTERM, _sigterm_to_interrupt)
     try:
         with _tracing(args), _journaling(args, argv), _caching(args), \
-                _faulting(args), _kernel_choice(args):
+                _faulting(args):
             return args.func(args)
     except KeyboardInterrupt:
         print("repro: interrupted", file=sys.stderr)

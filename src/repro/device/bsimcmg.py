@@ -66,8 +66,9 @@ def ids_core(
     temperature-derived parameter arrays once per simulator and
     evaluates all devices of a circuit in one call
     (:meth:`CryoFinFET.kernel_params` provides the parameter tuple).
-    Keeping one formula is what makes the scalar and vector kernel
-    paths differentially comparable to ~1e-15.
+    Keeping one formula is what makes the batched stamps differentially
+    comparable to per-element stamping (the scalar test oracle) to
+    ~1e-15.
     """
     vg = sign * np.asarray(vgs, dtype=float)
     vd = sign * np.asarray(vds, dtype=float)
@@ -341,12 +342,12 @@ class CryoFinFET:
     ) -> tuple[np.ndarray | float, np.ndarray | float, np.ndarray | float]:
         """Batched ``(I_ds, g_m, g_ds)`` evaluation in one model call.
 
-        This is the hot-path kernel behind the vectorized SPICE stamping
-        (``REPRO_KERNEL=vector``): all five bias points of the central-
-        difference stencil for every device are concatenated into a
-        single :meth:`ids` evaluation, so the per-call numpy dispatch
-        overhead is paid once per device *group* instead of five times
-        per device.  The derivatives use the same ``dv`` stencil as
+        The same five-point stencil the SPICE stampers
+        (:mod:`repro.spice.kernels`) evaluate through :func:`ids_core`:
+        all five bias points of the central-difference stencil for every
+        device are concatenated into a single :meth:`ids` evaluation, so
+        the per-call numpy dispatch overhead is paid once per device
+        *group* instead of five times per device.  The derivatives use the same ``dv`` stencil as
         :meth:`gm`/:meth:`gds`, keeping the two paths differentially
         comparable.
         """

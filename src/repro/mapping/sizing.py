@@ -93,8 +93,8 @@ def size_gates(
         netlist.name, list(netlist.pi_nets), list(netlist.po_nets), gates
     )
 
-    # One analyzer across all passes: with the graph engine, the
-    # in-place cell swaps below are absorbed by ``sync`` and each pass
+    # One analyzer across all passes: the in-place cell swaps below
+    # are absorbed by the timing graph's ``sync`` and each pass
     # after the first is an incremental retime of the changed cones
     # instead of a full-netlist STA (``sta.incremental_hits`` counts
     # them).

@@ -76,7 +76,6 @@ _COUNTER_PREFIXES = (
     # Trajectory-batch telemetry: batch widths and lockstep-vs-instance
     # step counts, so ledger records show how much batching the run got.
     "spice.batch.",
-    "charlib.spice.kernel.",
     # STA engine health: incremental-vs-full retime mix and query
     # volume, so ``repro ledger compare`` surfaces timing-path drift.
     "sta.",

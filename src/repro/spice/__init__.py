@@ -8,7 +8,7 @@ the SiliconSmart-style waveform measurements.
 
 from .netlist import Circuit, GROUND
 from .engine import ConvergenceError, OperatingPoint, Simulator, TransientResult
-from .kernels import BatchStamper, SimulatorSettings, VALID_KERNELS, default_kernel
+from .kernels import BatchStamper
 from .batch import BatchedSimulator, TrajectorySpec
 from .waveforms import DC, PWL, Waveform, pulse, ramp
 from .analysis import (
@@ -28,10 +28,7 @@ __all__ = [
     "ConvergenceError",
     "OperatingPoint",
     "Simulator",
-    "SimulatorSettings",
     "TransientResult",
-    "VALID_KERNELS",
-    "default_kernel",
     "DC",
     "PWL",
     "Waveform",

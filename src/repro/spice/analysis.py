@@ -29,10 +29,11 @@ def waveform_digest(result: TransientResult, decimals: int = 9) -> str:
 
     Node waveforms and source currents are rounded (absolute decimals
     — at the default 9 this is ~1 nV / 1 nA, three decades above the
-    scalar-vs-vector kernel disagreement) and hashed in deterministic
-    node order, so two runs agree iff every waveform agrees to the
-    rounding.  Used by ``tests/test_spice_kernels.py`` to pin the
-    vectorized kernel to the scalar reference.
+    disagreement between vectorized and per-element stamping) and
+    hashed in deterministic node order, so two runs agree iff every
+    waveform agrees to the rounding.  Used by
+    ``tests/test_spice_kernels.py`` to pin the vectorized stamps to the
+    scalar test oracle.
     """
     def quantized(arr: np.ndarray, d: int) -> bytes:
         # ``+ 0.0`` collapses IEEE negative zero: a value straddling

@@ -1,4 +1,4 @@
-"""Trajectory-batched transient simulation (the ``batch`` kernel).
+"""Trajectory-batched transient simulation of a whole NLDM grid.
 
 An NLDM characterization arc is embarrassingly parallel in an awkward
 shape: dozens of *independent* transients (one per slew x load grid
@@ -30,9 +30,10 @@ a serial loop, regardless of batch composition.
 Bitwise contract: with the stacked solve/matmul identities pinned by
 ``tests/test_spice_batch.py``, every waveform produced here is
 bit-identical to running the same circuit through
-``Simulator.transient`` under the vector kernel.  That is what allows
-``REPRO_KERNEL=batch`` to be the default without perturbing golden
-files or cache keys.
+``Simulator.transient``.  That is what lets characterization run every
+grid through this solver while one-off transients stay on the serial
+``Simulator`` path, without the choice perturbing golden files or
+cache keys.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .engine import (
     TransientResult,
     build_time_grid,
 )
-from .kernels import BatchStamper, SimulatorSettings
+from .kernels import BatchStamper
 from .netlist import GROUND, Circuit
 
 #: Per-instance solver states in the masked Newton state machine.
@@ -96,7 +97,6 @@ class BatchedSimulator:
         specs: list[TrajectorySpec],
         temperature_k: float = 300.0,
         ladder: tuple[NewtonSettings, ...] | None = None,
-        settings: SimulatorSettings | None = None,
         record_masks: bool = False,
     ):
         if not specs:
@@ -104,16 +104,8 @@ class BatchedSimulator:
         self.specs = list(specs)
         self.temperature_k = temperature_k
         self.ladder = ladder if ladder is not None else NEWTON_LADDER
-        self.settings = (
-            settings if settings is not None else SimulatorSettings(kernel="batch")
-        )
         self.sims = [
-            Simulator(
-                spec.circuit,
-                temperature_k,
-                ladder=self.ladder,
-                settings=SimulatorSettings(kernel="batch"),
-            )
+            Simulator(spec.circuit, temperature_k, ladder=self.ladder)
             for spec in self.specs
         ]
         first = self.sims[0]
@@ -388,7 +380,8 @@ class BatchedSimulator:
         while True:
             # Admit new attempts: per-instance fault gate, then the
             # per-attempt kernel counter (the serial path counts one
-            # ``spice.kernel.*`` per Newton call that passes the gate).
+            # ``spice.kernel.vector`` per Newton call that passes the
+            # gate).
             while True:
                 new_rows = np.nonzero(state == _NEW)[0]
                 if not new_rows.size:

@@ -30,7 +30,7 @@ from ..resilience import faults
 from ..resilience.errors import TransientError
 from ..resilience.isolation import task_heartbeat
 from ..resilience.retry import run_ladder
-from .kernels import SimulatorSettings, VectorStamper
+from .kernels import VectorStamper
 from .netlist import GROUND, Circuit
 
 #: Conductance from every node to ground, for matrix conditioning.
@@ -183,16 +183,14 @@ class TransientResult:
         return self.voltages[node]
 
 
-def _device_caps(circuit: Circuit, temperature_k: float) -> list[tuple[int, int, float]]:
-    """Lumped device capacitances as (node_a, node_b, C) index triples."""
-    return []  # placeholder, replaced below after system construction
-
-
 class Simulator:
     """DC and transient simulation of one :class:`Circuit`.
 
     The simulator is constructed per circuit and temperature, matching
-    how a characterization run invokes SPICE once per corner.
+    how a characterization run invokes SPICE once per corner.  Every
+    analysis assembles through one :class:`VectorStamper`; a grid of
+    topology-identical transients goes to
+    :class:`~repro.spice.batch.BatchedSimulator` instead.
     """
 
     def __init__(
@@ -200,7 +198,6 @@ class Simulator:
         circuit: Circuit,
         temperature_k: float = 300.0,
         ladder: tuple[NewtonSettings, ...] | None = None,
-        settings: SimulatorSettings | None = None,
     ):
         self.circuit = circuit
         self.temperature_k = temperature_k
@@ -209,20 +206,9 @@ class Simulator:
         #: Retry ladder applied to every Newton solve; rung 0 must be
         #: the nominal settings.  Override for tests or stiff circuits.
         self.ladder = ladder if ladder is not None else NEWTON_LADDER
-        #: Engine configuration; the ``kernel`` field selects between
-        #: the trajectory-batched path (default; falls back to vector
-        #: stamping for a single simulator), the vector stamping path
-        #: (``REPRO_KERNEL=vector``) and the scalar per-element
-        #: reference path (``REPRO_KERNEL=scalar``).
-        self.settings = settings if settings is not None else SimulatorSettings()
-        # The "batch" kernel batches *across* simulators (see
-        # spice/batch.py); a lone Simulator under it uses the same
-        # vector stamper, so serial and batched runs share assembly.
-        self._stamper = (
-            VectorStamper(circuit, self.system, temperature_k, self._caps)
-            if self.settings.kernel in ("vector", "batch")
-            else None
-        )
+        # BatchedSimulator stacks these per-instance stampers, so serial
+        # and batched runs share assembly.
+        self._stamper = VectorStamper(circuit, self.system, temperature_k, self._caps)
 
     # ------------------------------------------------------------------
     def _collect_capacitors(self) -> list[tuple[int, int, float]]:
@@ -239,129 +225,6 @@ class Simulator:
             caps.append((sys.idx(m.gate), sys.idx(m.drain), half))
             caps.append((sys.idx(m.drain), -1, cdb))
         return caps
-
-    # ------------------------------------------------------------------
-    # Assembly
-    # ------------------------------------------------------------------
-    def _stamp_static(
-        self,
-        x: np.ndarray,
-        t: float,
-        jac: np.ndarray,
-        res: np.ndarray,
-        gmin: float = GMIN,
-        src_values: np.ndarray | None = None,
-    ) -> None:
-        """Stamp resistors, sources, FinFETs and gmin at state ``x``.
-
-        ``src_values`` carries pre-sampled source voltages for this time
-        point (the transient loop batches stimulus sampling); when absent
-        the waveforms are evaluated at ``t``.  Both kernel paths consume
-        the same pre-sampled values so they see bit-identical stimuli.
-        """
-        sys = self.system
-        nn = sys.n_nodes
-
-        def v_of(i: int) -> float:
-            return 0.0 if i < 0 else float(x[i])
-
-        # gmin to ground (raised by retry-ladder rungs for conditioning).
-        for i in range(nn):
-            jac[i, i] += gmin
-            res[i] += gmin * x[i]
-
-        for r in self.circuit.resistors:
-            a, b = sys.idx(r.node_a), sys.idx(r.node_b)
-            g = 1.0 / r.resistance
-            current = g * (v_of(a) - v_of(b))
-            if a >= 0:
-                jac[a, a] += g
-                res[a] += current
-                if b >= 0:
-                    jac[a, b] -= g
-            if b >= 0:
-                jac[b, b] += g
-                res[b] -= current
-                if a >= 0:
-                    jac[b, a] -= g
-
-        for k, src in enumerate(self.circuit.vsources):
-            p, m = sys.idx(src.node_plus), sys.idx(src.node_minus)
-            row = nn + k
-            i_src = float(x[row])
-            # KCL: branch current leaves + terminal.
-            if p >= 0:
-                jac[p, row] += 1.0
-                res[p] += i_src
-            if m >= 0:
-                jac[m, row] -= 1.0
-                res[m] -= i_src
-            # Branch equation: v(p) - v(m) = V(t).
-            if p >= 0:
-                jac[row, p] += 1.0
-            if m >= 0:
-                jac[row, m] -= 1.0
-            v_t = float(src_values[k]) if src_values is not None else src.waveform(t)
-            res[row] += v_of(p) - v_of(m) - v_t
-
-        for m_dev in self.circuit.finfets:
-            d = sys.idx(m_dev.drain)
-            g = sys.idx(m_dev.gate)
-            s = sys.idx(m_dev.source)
-            vgs = v_of(g) - v_of(s)
-            vds = v_of(d) - v_of(s)
-            dev = m_dev.device
-            ids = float(dev.ids(vgs, vds, self.temperature_k))
-            gm = dev.gm(vgs, vds, self.temperature_k)
-            gds = dev.gds(vgs, vds, self.temperature_k)
-            # Current flows d -> s.
-            if d >= 0:
-                res[d] += ids
-                if g >= 0:
-                    jac[d, g] += gm
-                if d >= 0:
-                    jac[d, d] += gds
-                if s >= 0:
-                    jac[d, s] -= gm + gds
-            if s >= 0:
-                res[s] -= ids
-                if g >= 0:
-                    jac[s, g] -= gm
-                if d >= 0:
-                    jac[s, d] -= gds
-                jac[s, s] += gm + gds
-
-    def _stamp_caps_companion(
-        self,
-        x: np.ndarray,
-        jac: np.ndarray,
-        res: np.ndarray,
-        geq: float,
-        history: np.ndarray,
-    ) -> None:
-        """Stamp capacitor companion models.
-
-        ``history[j]`` is the companion current source of capacitor j
-        for this step; the capacitor current is
-        ``i = geq * (v_a - v_b) + history[j]``.
-        """
-
-        def v_of(i: int) -> float:
-            return 0.0 if i < 0 else float(x[i])
-
-        for j, (a, b, c) in enumerate(self._caps):
-            g = geq * c
-            current = g * (v_of(a) - v_of(b)) + history[j]
-            if a >= 0:
-                jac[a, a] += g
-                res[a] += current
-                if b >= 0:
-                    jac[a, b] -= g
-            if b >= 0:
-                jac[b, b] += g
-                res[b] -= current
-                if a >= 0:
-                    jac[b, a] -= g
 
     # ------------------------------------------------------------------
     def _newton(
@@ -381,23 +244,11 @@ class Simulator:
             )
         sys = self.system
         x = x0.copy()
-        if cap_history is None:
-            cap_history = np.zeros(len(self._caps))
-        obs.count(f"spice.kernel.{self.settings.kernel}")
+        obs.count("spice.kernel.vector")
         for iteration in range(settings.max_iter):
-            if self._stamper is not None:
-                jac, res = self._stamper.stamp(
-                    x, t, settings.gmin, geq, cap_history, src_values
-                )
-            else:
-                jac = np.zeros((sys.size, sys.size))
-                res = np.zeros(sys.size)
-                self._stamp_static(
-                    x, t, jac, res, gmin=settings.gmin, src_values=src_values
-                )
-                if geq > 0.0:
-                    self._stamp_caps_companion(x, jac, res, geq, cap_history)
-                # DC: capacitors are open circuits; nothing to stamp.
+            jac, res = self._stamper.stamp(
+                x, t, settings.gmin, geq, cap_history, src_values
+            )
             try:
                 delta = np.linalg.solve(jac, -res)
             except np.linalg.LinAlgError as exc:
@@ -473,8 +324,8 @@ class Simulator:
         ``(size, n_points)`` state matrix (see :meth:`dc_sweep_arrays`
         for the raw batch view) and each point warm-starts Newton from
         its predecessor.  The per-point solves share the simulator's
-        precomputed stamping kernel, so under the vector kernel a sweep
-        costs one kernel build total, not one per point.
+        precomputed stamper, so a sweep costs one stamper build total,
+        not one per point.
         """
         sys = self.system
         states = self.dc_sweep_arrays(source_name, values, initial)

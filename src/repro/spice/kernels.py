@@ -1,89 +1,48 @@
 """Vectorized MNA stamping kernels for the SPICE engine.
 
-The scalar reference path in :mod:`repro.spice.engine` stamps the
-Jacobian and residual one element at a time and calls the compact
-model five times per FinFET per Newton iteration (``ids`` plus the
-central-difference stencils of ``gm``/``gds``).  That python-loop +
-0-d-numpy pattern dominates every characterization sweep, so this
-module provides the batched alternative:
+Stamping the Jacobian and residual one element at a time, with five
+compact-model calls per FinFET per Newton iteration (``ids`` plus the
+central-difference stencils of ``gm``/``gds``), is a python-loop +
+0-d-numpy pattern that would dominate every characterization sweep, so
+assembly is batched:
 
 * all linear stamps (resistors, ideal-source rows, the capacitor
   companion pattern) are assembled **once** per simulator into
   constant coefficient matrices — per iteration they contribute a
   matrix copy and one mat-vec;
 * FinFET terminal voltages are gathered with precomputed index arrays,
-  evaluated through :meth:`CryoFinFET.ids_gm_gds` in one batched model
-  call per distinct parameter set, and scattered back into the
-  Jacobian with ``np.add.at`` on precomputed flat indices.
+  evaluated through the shared ``ids_core`` kernel in one batched model
+  call per circuit, and scattered back into the Jacobian with
+  ``np.add.at`` on precomputed flat indices.
 
-On top of the per-instance vector kernel, :class:`BatchStamper` stacks
-N topology-identical instances (the 7x7 NLDM grid of an arc) into one
-``(N, size, size)`` assembly so a whole characterization table costs
-one ``ids_core`` call per Newton iteration — see ``spice/batch.py``
-for the masked lockstep solver built on it.  Every batched operation
-is chosen for *bitwise* agreement with the per-instance vector path
-(stacked ``np.linalg.solve`` / ``np.matmul`` and row-major
-``np.add.at`` are element-for-element the same computations), which is
-what lets the batch kernel be the default without perturbing golden
-files.
+:class:`VectorStamper` assembles one circuit; it is what
+:class:`~repro.spice.engine.Simulator` runs for a lone transient, a DC
+operating point or a DC sweep.  :class:`BatchStamper` stacks N
+topology-identical instances (the slew x load grid of an NLDM arc) into
+one ``(N, size, size)`` assembly so a whole characterization table
+costs one ``ids_core`` call per Newton iteration — see
+``spice/batch.py`` for the masked lockstep solver built on it.  Every
+batched operation is chosen for *bitwise* agreement with the
+per-instance path (stacked ``np.linalg.solve`` / ``np.matmul`` and
+row-major ``np.add.at`` are element-for-element the same computations),
+so a grid gives the same tables whichever way it is run.
 
-Kernel selection is carried by :class:`SimulatorSettings` (default
-from :envvar:`REPRO_KERNEL`, ``batch`` unless overridden) so every
-result stays differentially checkable against the scalar reference —
-see ``tests/test_spice_kernels.py``, ``tests/test_spice_batch.py`` and
-``docs/PERFORMANCE.md``.
+The per-element scalar stamps are kept as a test oracle
+(``tests/oracles/spice_reference.py``); ``tests/test_spice_kernels.py``
+and ``tests/test_spice_batch.py`` check both kernels against it.
 """
 
 from __future__ import annotations
-
-import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..device.bsimcmg import ids_core
 from .netlist import Circuit
 
-#: Kernel implementations selectable through ``REPRO_KERNEL``.
-VALID_KERNELS: tuple[str, ...] = ("scalar", "vector", "batch")
-
 #: Central-difference stencil step [V] — must match the default ``dv``
-#: of :meth:`CryoFinFET.gm`/:meth:`gds` so the vector path computes the
-#: same derivatives as the scalar reference.
+#: of :meth:`CryoFinFET.gm`/:meth:`gds` so the batched stamps compute
+#: the same derivatives as the per-device model methods.
 STENCIL_DV: float = 1e-4
-
-
-def default_kernel() -> str:
-    """The kernel the environment asks for (``batch`` by default)."""
-    kernel = os.environ.get("REPRO_KERNEL", "batch").strip().lower()
-    if kernel not in VALID_KERNELS:
-        raise ValueError(
-            f"REPRO_KERNEL must be one of {VALID_KERNELS}, got {kernel!r}"
-        )
-    return kernel
-
-
-@dataclass(frozen=True)
-class SimulatorSettings:
-    """Engine configuration independent of the circuit.
-
-    ``kernel`` selects the stamping implementation: ``"batch"``
-    (trajectory batching across whole NLDM grids, falling back to
-    vector stamping for lone simulators), ``"vector"`` (the
-    per-instance batched kernels in this module) or ``"scalar"`` (the
-    per-element reference path).  The default is read from
-    :envvar:`REPRO_KERNEL` at construction time so a CLI flag or test
-    can flip the whole process without threading an argument through
-    every layer.
-    """
-
-    kernel: str = field(default_factory=default_kernel)
-
-    def __post_init__(self) -> None:
-        if self.kernel not in VALID_KERNELS:
-            raise ValueError(
-                f"kernel must be one of {VALID_KERNELS}, got {self.kernel!r}"
-            )
 
 
 class VectorStamper:
@@ -91,7 +50,7 @@ class VectorStamper:
 
     Built once per :class:`~repro.spice.engine.Simulator` (topology and
     temperature are fixed per instance); :meth:`stamp` then produces
-    the same ``(jac, res)`` pair as the scalar reference loops, up to
+    the same ``(jac, res)`` pair as per-element stamping, up to
     floating-point summation order.
     """
 
@@ -191,7 +150,7 @@ class VectorStamper:
         self._res_s = s_idx[s_node]
         self._res_s_sel = np.nonzero(s_node)[0]
 
-        # Jacobian entries, in the scalar loop's (row, col) kinds:
+        # Jacobian entries, in per-element stamping's (row, col) kinds:
         #   (d,g)+gm  (d,d)+gds  (d,s)-(gm+gds)
         #   (s,g)-gm  (s,d)-gds  (s,s)+(gm+gds)
         flat_parts: list[np.ndarray] = []
@@ -281,7 +240,7 @@ class BatchStamper:
     own ``VectorStamper.stamp`` would perform (stacked copies, scalar
     broadcasts, ``np.matmul`` over the last two axes, and row-major
     ``np.add.at`` scatters), so batched assembly is bit-identical to
-    the serial vector path — the property the differential suite in
+    the serial path — the property the differential suite in
     ``tests/test_spice_batch.py`` pins down.
 
     All instances must share the MNA topology (same node ordering,

@@ -1,10 +1,9 @@
 """Array-based levelized timing graph with incremental retiming.
 
-The legacy engine in :mod:`repro.sta.timing` walks python dicts gate by
-gate and re-runs a *full* netlist propagation for every query — the
-stated blocker for EPFL-scale mapping sweeps, where sizing and cost
-evaluation issue thousands of timing queries against nearly identical
-netlists.  :class:`TimingGraph` compiles a
+Walking python dicts gate by gate and re-running a *full* netlist
+propagation for every query is what blocks EPFL-scale mapping sweeps,
+where sizing and cost evaluation issue thousands of timing queries
+against nearly identical netlists.  :class:`TimingGraph` compiles a
 :class:`~repro.mapping.netlist.MappedNetlist` + characterized
 :class:`~repro.charlib.nldm.Library` **once** into flat NumPy state:
 
@@ -25,11 +24,11 @@ a ``retime`` is bit-identical to an analysis from scratch — the
 invariant ``tests/test_sta_graph.py`` checks over randomized edit
 sequences.
 
-Every elementwise operation replays the legacy engine's arithmetic in
-the same order, so graph and legacy reports agree bit-for-bit; the
-engine is selected per analyzer via :envvar:`REPRO_STA`
-(``graph`` by default, ``legacy`` kept as the differential reference,
-mirroring ``REPRO_KERNEL`` in :mod:`repro.spice.kernels`).
+Every elementwise operation replays the arithmetic of the per-gate
+dict propagation in the same order, so graph reports agree bit-for-bit
+with that straightforward engine, which is kept as a test oracle
+(``tests/oracles/sta_reference.py``).  This is the only production STA
+engine; :class:`~repro.sta.timing.StaticTimingAnalyzer` runs on it.
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ class TimingGraph:
             self._levels[lvl] = np.array(members, dtype=np.intp)
 
         # --- sink structure (load computation) ---------------------------
-        # Gate-major sink order replays the legacy ``netlist.loads()``
+        # Gate-major sink order replays the ``netlist.loads()``
         # iteration, so per-net capacitance accumulation happens in the
         # exact same float-addition sequence as the reference engine.
         sink_net: list[int] = []
@@ -257,7 +256,7 @@ class TimingGraph:
             self._num_nets, cfg.wire_cap_base, dtype=float
         ) + cfg.wire_cap_per_fanout * self._net_fanout
         # ``np.add.at`` accumulates sequentially in index order, i.e.
-        # per net in gate-major order — the legacy summation sequence.
+        # per net in gate-major order — the reference summation sequence.
         np.add.at(load, self._sink_net, self._sink_cap)
         load[self._po_unique] += cfg.output_load
         return load
@@ -325,7 +324,7 @@ class TimingGraph:
 
         best = np.maximum.reduceat(cand, offsets)
         seg = np.repeat(np.arange(len(starts_h)), counts_h)
-        # First arc attaining the per-gate max — the legacy engine's
+        # First arc attaining the per-gate max — the reference engine's
         # strict ``candidate > best`` update rule.
         pos = np.where(cand == best[seg], np.arange(total), total)
         first = np.minimum.reduceat(pos, offsets)
@@ -340,7 +339,7 @@ class TimingGraph:
     ) -> None:
         """Arc-by-arc evaluation into the preallocated output arrays.
 
-        Replays the legacy per-gate loop (strict ``candidate > best``
+        Replays the reference per-gate loop (strict ``candidate > best``
         from a 0.0 floor) with scalar NLDM lookups — bit-identical to
         the batched path, minus its fixed overhead.
         """
@@ -589,7 +588,7 @@ class TimingGraph:
         return path
 
     def net_loads_dict(self) -> dict[str, float]:
-        """``net -> load [F]`` in sorted-net order (legacy-compatible)."""
+        """``net -> load [F]`` in sorted-net order (as the reference engine)."""
         if self._load is None:
             self._load = self._compute_all_loads()
         load = self._load

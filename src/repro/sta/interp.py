@@ -18,8 +18,8 @@ The vectorized kernel replays the scalar ``lookup`` arithmetic
 operation-for-operation (same clamping, same ``bisect_right`` index
 rule, same corner-blend expression), so batched and scalar results are
 bit-identical — which is what lets the graph STA engine be checked
-differentially against the legacy per-gate engine at zero tolerance in
-``tests/test_sta_graph.py``.
+differentially against the per-gate reference engine at zero tolerance
+in ``tests/test_sta_graph.py``.
 """
 
 from __future__ import annotations

@@ -5,41 +5,20 @@ lookups with slew propagation over the gate-level netlist in
 topological order, worst-arrival maximization, and critical-path
 extraction.  All values SI (seconds, farads).
 
-Two engines implement the same contract:
-
-* ``graph`` (default) — the array-based levelized
-  :class:`~repro.sta.graph.TimingGraph`, vectorized over whole levels
-  of timing arcs and capable of incremental retiming;
-* ``legacy`` — the original per-gate dict propagation below, kept as
-  the differential reference (``tests/test_sta_graph.py`` pins
-  graph ≡ legacy bit-for-bit).
-
-Selection mirrors ``REPRO_KERNEL`` in :mod:`repro.spice.kernels`: the
-:envvar:`REPRO_STA` environment variable or the ``engine=`` argument
-of :class:`StaticTimingAnalyzer`.
+:class:`StaticTimingAnalyzer` runs on the array-based levelized
+:class:`~repro.sta.graph.TimingGraph`, vectorized over whole levels of
+timing arcs and able to retime incrementally after cell swaps.  The
+original per-gate dict propagation is kept as a test oracle
+(``tests/oracles/sta_reference.py``); ``tests/test_sta_graph.py`` pins
+the two bit-for-bit.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-from .. import obs
 from ..charlib.nldm import Library
 from ..mapping.netlist import MappedNetlist
-
-#: STA engines selectable through ``REPRO_STA``.
-VALID_ENGINES: tuple[str, ...] = ("graph", "legacy")
-
-
-def default_engine() -> str:
-    """The STA engine the environment asks for (``graph`` by default)."""
-    engine = os.environ.get("REPRO_STA", "graph").strip().lower()
-    if engine not in VALID_ENGINES:
-        raise ValueError(
-            f"REPRO_STA must be one of {VALID_ENGINES}, got {engine!r}"
-        )
-    return engine
 
 
 @dataclass(frozen=True)
@@ -81,10 +60,9 @@ class TimingReport:
 class StaticTimingAnalyzer:
     """NLDM-based STA for combinational mapped netlists.
 
-    ``engine`` picks the implementation: ``"graph"`` (levelized array
-    engine with incremental retiming across repeated ``analyze()``
-    calls) or ``"legacy"`` (per-gate dict reference).  Defaults to
-    :envvar:`REPRO_STA` (``graph`` unless overridden).
+    The timing graph is compiled on first use and kept across
+    ``analyze()`` calls, so repeated analyses of an in-place
+    cell-edited netlist retime incrementally.
     """
 
     def __init__(
@@ -92,23 +70,11 @@ class StaticTimingAnalyzer:
         netlist: MappedNetlist,
         library: Library,
         config: SignoffConfig | None = None,
-        engine: str | None = None,
     ):
         self.netlist = netlist
         self.library = library
         self.config = config or SignoffConfig()
-        self.engine = engine or default_engine()
-        if self.engine not in VALID_ENGINES:
-            raise ValueError(
-                f"engine must be one of {VALID_ENGINES}, got {self.engine!r}"
-            )
         self._graph = None
-        # Legacy-path caches (built once per analyzer, not per call).
-        # Both store gate *indices*, not gate objects: sizing swaps
-        # cells by replacing entries of ``netlist.gates`` in place, and
-        # an index stays valid where a cached instance would go stale.
-        self._sink_map: dict[str, list[tuple[int, str]]] | None = None
-        self._gate_index: dict[str, int] | None = None
 
     @classmethod
     def from_context(cls, context, netlist: MappedNetlist) -> "StaticTimingAnalyzer":
@@ -119,156 +85,28 @@ class StaticTimingAnalyzer:
     # ------------------------------------------------------------------
     @property
     def graph(self):
-        """The compiled :class:`~repro.sta.graph.TimingGraph` (graph
-        engine only; compiled lazily on first use)."""
-        if self.engine != "graph":
-            raise RuntimeError("graph engine not selected")
+        """The compiled :class:`~repro.sta.graph.TimingGraph` (compiled
+        lazily on first use)."""
         if self._graph is None:
             from .graph import TimingGraph
 
             self._graph = TimingGraph(self.netlist, self.library, self.config)
         return self._graph
 
-    def _sinks(self) -> dict[str, list[tuple[int, str]]]:
-        """``net -> [(gate index, pin)]`` in ``netlist.loads()`` order."""
-        if self._sink_map is None:
-            sink_map: dict[str, list[tuple[int, str]]] = {}
-            for index, gate in enumerate(self.netlist.gates):
-                for pin, net in gate.pins.items():
-                    sink_map.setdefault(net, []).append((index, pin))
-            self._sink_map = sink_map
-        return self._sink_map
-
-    # ------------------------------------------------------------------
-    def net_loads(self) -> dict[str, float]:
-        """Capacitive load per net [F]: sink pins + wire + PO loads."""
-        if self.engine == "graph":
-            graph = self.graph
-            if not graph.sync(self.netlist):
-                self._graph = None
-                graph = self.graph
-            return graph.net_loads_dict()
-        config = self.config
-        loads: dict[str, float] = {}
-        sink_map = self._sinks()
-        all_nets = set(self.netlist.pi_nets)
-        for gate in self.netlist.gates:
-            all_nets.add(gate.output_net)
-            all_nets.update(gate.pins.values())
-        po_nets = set(self.netlist.po_nets)
-        # Sorted iteration keeps downstream float summations (e.g. the
-        # switching-power accumulation over .items()) byte-identical
-        # across processes; set order varies with string hashing.
-        gates = self.netlist.gates
-        for net in sorted(all_nets):
-            sinks = sink_map.get(net, [])
-            total = config.wire_cap_base + config.wire_cap_per_fanout * len(sinks)
-            for index, pin in sinks:
-                total += self.library[gates[index].cell].input_caps.get(pin, 0.0)
-            if net in po_nets:
-                total += config.output_load
-            loads[net] = total
-        return loads
-
     # ------------------------------------------------------------------
     def analyze(self) -> TimingReport:
         """Propagate arrivals/slews; returns the timing report.
 
-        With the graph engine, repeated calls against an (externally
-        cell-edited) netlist retime incrementally instead of paying a
-        full propagation; the result is identical either way.
+        Repeated calls against an (externally cell-edited) netlist
+        retime incrementally instead of paying a full propagation; the
+        result is identical either way.
         """
-        if self.engine == "graph":
-            return self._analyze_graph()
-        return self._analyze_legacy()
-
-    def _analyze_graph(self) -> TimingReport:
         graph = self.graph
         if not graph.sync(self.netlist):
             # Structural change: recompile from scratch.
             self._graph = None
             graph = self.graph
         return graph.retime()
-
-    def _analyze_legacy(self) -> TimingReport:
-        config = self.config
-        loads = self.net_loads()
-        arrival: dict[str, float] = {}
-        slew: dict[str, float] = {}
-        from_pin: dict[str, tuple[str, str] | None] = {}
-        arc_lookups = 0
-
-        for net in self.netlist.pi_nets:
-            arrival[net] = 0.0
-            slew[net] = config.input_slew
-            from_pin[net] = None
-
-        for gate in self.netlist.gates:
-            cell = self.library[gate.cell]
-            load = loads[gate.output_net]
-            best_arrival = 0.0
-            best_slew = config.input_slew
-            best_source: tuple[str, str] | None = None
-            for pin, net in gate.pins.items():
-                in_arrival = arrival[net]
-                in_slew = slew[net]
-                try:
-                    arc = cell.arc(pin, gate.output_pin)
-                except KeyError:
-                    continue  # non-controlling pin (no arc)
-                arc_lookups += 1
-                delay = max(
-                    arc.cell_rise.lookup(in_slew, load),
-                    arc.cell_fall.lookup(in_slew, load),
-                )
-                out_slew = max(
-                    arc.rise_transition.lookup(in_slew, load),
-                    arc.fall_transition.lookup(in_slew, load),
-                )
-                candidate = in_arrival + delay
-                if candidate > best_arrival:
-                    best_arrival = candidate
-                    best_slew = out_slew
-                    best_source = (gate.name, pin)
-            arrival[gate.output_net] = best_arrival
-            slew[gate.output_net] = best_slew
-            from_pin[gate.output_net] = best_source
-
-        if obs.current_tracer() is not None:
-            obs.count("sta.timing_queries")
-            obs.count("sta.full_retimes")
-            obs.count("sta.arc_lookups", arc_lookups)
-            obs.count("sta.gates_analyzed", len(self.netlist.gates))
-        report = TimingReport(arrival=arrival, slew=slew, net_load=loads)
-        if self.netlist.po_nets:
-            worst_net = max(self.netlist.po_nets, key=lambda n: arrival.get(n, 0.0))
-            report.max_delay = arrival.get(worst_net, 0.0)
-            report.critical_path = self._trace_path(worst_net, from_pin)
-        report.po_arrival = {
-            net: arrival.get(net, 0.0) for net in self.netlist.po_nets
-        }
-        return report
-
-    def _trace_path(
-        self, net: str, from_pin: dict[str, tuple[str, str] | None]
-    ) -> list[str]:
-        """Walk the worst-arrival chain back to a PI."""
-        gates = self.netlist.gates
-        if self._gate_index is None:
-            self._gate_index = {gate.name: i for i, gate in enumerate(gates)}
-        gate_index = self._gate_index
-        path: list[str] = []
-        current = net
-        guard = 0
-        while current in from_pin and from_pin[current] is not None:
-            guard += 1
-            if guard > len(gates) + 1:
-                break  # defensive: malformed netlist
-            gate_name, pin = from_pin[current]
-            path.append(gate_name)
-            current = gates[gate_index[gate_name]].pins[pin]
-        path.reverse()
-        return path
 
 
 def critical_delay(

@@ -5,10 +5,10 @@ Run from the repository root after an *intentional* behaviour change:
     PYTHONPATH=src python tests/golden/regen.py
 
 and commit the rewritten files together with the change that moved
-them.  The goldens pin the default-path (``REPRO_KERNEL=batch``,
-no fault plan) output bit-for-bit — the trajectory-batched kernel is
-bitwise-identical to the vector path by construction, so these files
-are unchanged from their vector-kernel generation:
+them.  The goldens pin the flow's output (no fault plan) bit-for-bit.
+The SPICE Liberty comes from the trajectory-batched grid path, which
+is bitwise-identical to measuring each point on a serial
+``Simulator``, so these files predate the batched path unchanged:
 
 * ``nand2_spice_77k.lib`` — Liberty text of one NAND2 cell
   characterized with the transistor-level SPICE backend at 77 K.

@@ -37,6 +37,16 @@ class TestParser:
         assert args.temperature == 10.0
         assert args2.vdd == 0.7
 
+    @pytest.mark.parametrize("command", [
+        ["characterize"], ["synthesize", "ctrl"], ["evaluate", "ctrl"],
+    ], ids=lambda argv: argv[0])
+    def test_kernel_flag_rejected(self, command, capsys):
+        # The SPICE path follows the input shape; there is no kernel to pick.
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--kernel", "batch"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_benchmarks_lists_twenty(self, capsys):
@@ -360,6 +370,20 @@ class TestCrashSafety:
             "baseline", "p_a_d", "p_d_a",
         }
 
+    def test_journal_config_digest_is_stable(self):
+        """Journals and ledger records written before the kernel flag
+        was retired must keep their configuration digest."""
+        from repro.cli import _journal_config
+        from repro.obs.ledger import config_fingerprint as ledger_fingerprint
+        from repro.resilience.journal import config_fingerprint
+
+        args = build_parser().parse_args(
+            ["evaluate", "ctrl", "--preset", "small", "--vectors", "64"]
+        )
+        config = _journal_config(args)
+        assert config_fingerprint(config) == "a0c3860cbaea3a1825ceebed3601b731"
+        assert ledger_fingerprint(config) == config_fingerprint(config)
+
     def test_journal_sets_sidecar_cache_dir(self, tmp_path):
         journal = tmp_path / "run.jsonl"
         assert main([
@@ -460,49 +484,3 @@ class TestCrashSafety:
             *base, "--isolate", "process", "--json", str(isolated),
         ]) == 0
         assert json.loads(threaded.read_text()) == json.loads(isolated.read_text())
-
-
-class TestKernelFlag:
-    def test_parser_accepts_kernel_choices(self):
-        for kernel in ("batch", "vector", "scalar"):
-            args = build_parser().parse_args(["evaluate", "ctrl", "--kernel", kernel])
-            assert args.kernel == kernel
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["evaluate", "ctrl", "--kernel", "simd"])
-
-    def test_kernel_choice_scopes_environment(self, monkeypatch):
-        import argparse
-        import os
-
-        from repro.cli import _kernel_choice
-
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        with _kernel_choice(argparse.Namespace(kernel="scalar")):
-            assert os.environ["REPRO_KERNEL"] == "scalar"
-        assert "REPRO_KERNEL" not in os.environ
-
-    def test_kernel_choice_restores_previous_value(self, monkeypatch):
-        import argparse
-        import os
-
-        from repro.cli import _kernel_choice
-
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        with _kernel_choice(argparse.Namespace(kernel="scalar")):
-            assert os.environ["REPRO_KERNEL"] == "scalar"
-        assert os.environ["REPRO_KERNEL"] == "vector"
-
-    def test_no_flag_leaves_environment_alone(self, monkeypatch):
-        import argparse
-        import os
-
-        from repro.cli import _kernel_choice
-
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        with _kernel_choice(argparse.Namespace()):
-            assert "REPRO_KERNEL" not in os.environ
-
-    def test_characterize_runs_with_scalar_kernel(self, tmp_path):
-        out = tmp_path / "lib.lib"
-        assert main(["characterize", "-t", "10", "-o", str(out), "--kernel", "scalar"]) == 0
-        assert out.read_text().startswith("library")

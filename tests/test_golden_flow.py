@@ -1,11 +1,10 @@
 """Golden-file regression of a small fixed flow.
 
-Pins the default-path output (``REPRO_KERNEL=vector``, no faults)
-bit-for-bit against checked-in references: a SPICE-characterized
-NAND2 Liberty at 77 K and the ``ctrl``/baseline ``FlowResult`` JSON
-at 10 K.  Any intentional change that moves these must regenerate
-them (the command is documented in ``tests/golden/regen.py`` and
-``docs/PERFORMANCE.md``):
+Pins the flow's output (no faults) bit-for-bit against checked-in
+references: a SPICE-characterized NAND2 Liberty at 77 K and the
+``ctrl``/baseline ``FlowResult`` JSON at 10 K.  Any intentional
+change that moves these must regenerate them (the command is
+documented in ``tests/golden/regen.py`` and ``docs/PERFORMANCE.md``):
 
     PYTHONPATH=src python tests/golden/regen.py
 

@@ -1,9 +1,12 @@
-"""Differential + property suite for the trajectory-batched kernel.
+"""Differential + property suite for the trajectory-batched solver.
 
-Locks the ``batch`` kernel down from three directions:
+Locks the batched grid path down from three directions:
 
 * **Differential**: batched waveforms must be *bitwise* identical to
-  the per-instance vector kernel and ≤1e-9 from the scalar reference —
+  serial :class:`Simulator` transients and ≤1e-9 from the scalar
+  stamping oracle; characterized arc tables must be bitwise identical
+  to the serial grid loop oracle
+  (:class:`~tests.oracles.spice_reference.SerialGridCharacterizer`) —
   across catalog cell arcs, all library test temperatures, and
   fault-injected (``spice.newton``) runs (where degraded-arc sets must
   also agree exactly).
@@ -16,7 +19,7 @@ Locks the ``batch`` kernel down from three directions:
 
 The module is ``no_chaos`` for the same reason the scalar≡vector suite
 is: ambient fault injection would perturb the compared paths at
-different points and the tests would measure the plan, not the kernel.
+different points and the tests would measure the plan, not the solver.
 The fault-differential class installs its *own* deterministic plans.
 """
 
@@ -24,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.charlib import characterize_library
 from repro.charlib.spice_char import SpiceCharacterizer
 from repro.device import CryoFinFET, default_nfet_5nm, default_pfet_5nm
 from repro.pdk import catalog, cryo5_technology
@@ -33,22 +37,22 @@ from repro.spice import (
     BatchedSimulator,
     Circuit,
     Simulator,
-    SimulatorSettings,
     TrajectorySpec,
-    default_kernel,
     ramp,
 )
 from repro.spice.batch import _DONE, _FAIL
+
+from .oracles.spice_reference import (
+    SerialGridCharacterizer,
+    scalar_simulator,
+    scalar_stamps,
+)
 
 pytestmark = pytest.mark.no_chaos
 
 VDD = 0.7
 TEMPERATURES = (300.0, 77.0, 10.0)
 RTOL = 1e-9
-
-SCALAR = SimulatorSettings(kernel="scalar")
-VECTOR = SimulatorSettings(kernel="vector")
-BATCH = SimulatorSettings(kernel="batch")
 
 TECH = cryo5_technology()
 
@@ -143,10 +147,10 @@ def assert_results_close(result_a, result_b, context=""):
         )
 
 
-def serial_reference(specs, temperature_k, settings):
-    """Per-instance serial transients through ``Simulator``."""
+def serial_reference(specs, temperature_k, simulator=Simulator):
+    """Per-instance serial transients, one ``simulator`` per spec."""
     return [
-        Simulator(spec.circuit, temperature_k, settings=settings).transient(
+        simulator(spec.circuit, temperature_k).transient(
             spec.t_stop, spec.dt, initial=spec.initial
         )
         for spec in specs
@@ -154,13 +158,13 @@ def serial_reference(specs, temperature_k, settings):
 
 
 class TestWaveformDifferential:
-    """Batched ≡ vector (bitwise) ≡ scalar (≤1e-9) waveforms."""
+    """Batched ≡ serial (bitwise) ≡ scalar oracle (≤1e-9) waveforms."""
 
     @pytest.mark.parametrize("temperature", TEMPERATURES)
     def test_batch_matches_vector_bitwise_all_temperatures(self, temperature):
         specs = mixed_fet_specs()
         batched = BatchedSimulator(specs, temperature).transient_all()
-        reference = serial_reference(specs, temperature, VECTOR)
+        reference = serial_reference(specs, temperature)
         for spec, got, want in zip(specs, batched, reference):
             assert_results_bitwise(got, want, f"{spec.label}@{temperature}K")
 
@@ -168,7 +172,7 @@ class TestWaveformDifferential:
     def test_batch_matches_scalar_all_temperatures(self, temperature):
         specs = mixed_fet_specs()
         batched = BatchedSimulator(specs, temperature).transient_all()
-        reference = serial_reference(specs, temperature, SCALAR)
+        reference = serial_reference(specs, temperature, scalar_simulator)
         for spec, got, want in zip(specs, batched, reference):
             assert_results_close(got, want, f"{spec.label}@{temperature}K")
 
@@ -177,11 +181,11 @@ class TestWaveformDifferential:
         specs = [rc_ladder_spec(s) for s in (0.5, 1.0, 2.0)]
         batched = BatchedSimulator(specs, 300.0).transient_all()
         for spec, got, want in zip(
-            specs, batched, serial_reference(specs, 300.0, VECTOR)
+            specs, batched, serial_reference(specs, 300.0)
         ):
             assert_results_bitwise(got, want, spec.label)
         for spec, got, want in zip(
-            specs, batched, serial_reference(specs, 300.0, SCALAR)
+            specs, batched, serial_reference(specs, 300.0, scalar_simulator)
         ):
             assert_results_close(got, want, spec.label)
 
@@ -195,23 +199,24 @@ class TestWaveformDifferential:
         batched = BatchedSimulator(specs, 77.0).transient_all()
         assert len(batched[0].time) != len(batched[1].time)
         for spec, got, want in zip(
-            specs, batched, serial_reference(specs, 77.0, VECTOR)
+            specs, batched, serial_reference(specs, 77.0)
         ):
             assert_results_bitwise(got, want, spec.label)
 
 
 class TestArcTableDifferential:
-    """Whole NLDM grids through the charlib backend, per catalog cell."""
+    """Whole NLDM grids through the charlib backend, per catalog cell:
+    the batched production path against the serial grid loop oracle."""
 
     SLEWS = TECH.slew_grid[1::3]
     LOADS = TECH.load_grid[1::3]
 
     @pytest.mark.parametrize("cell", ARC_CELLS, ids=lambda c: c.name)
     def test_batch_tables_equal_vector_tables(self, cell):
-        lib_b = SpiceCharacterizer(TECH, 77.0, settings=BATCH).characterize_cell(
+        lib_b = SpiceCharacterizer(TECH, 77.0).characterize_cell(
             cell, self.SLEWS, self.LOADS
         )
-        lib_v = SpiceCharacterizer(TECH, 77.0, settings=VECTOR).characterize_cell(
+        lib_v = SerialGridCharacterizer(TECH, 77.0).characterize_cell(
             cell, self.SLEWS, self.LOADS
         )
         assert lib_b.degraded_arcs == lib_v.degraded_arcs == ()
@@ -225,10 +230,10 @@ class TestArcTableDifferential:
     @pytest.mark.parametrize("temperature", TEMPERATURES)
     def test_batch_tables_equal_vector_tables_across_temperatures(self, temperature):
         cell = catalog.make_nand(2, 1)
-        lib_b = SpiceCharacterizer(TECH, temperature, settings=BATCH).characterize_cell(
+        lib_b = SpiceCharacterizer(TECH, temperature).characterize_cell(
             cell, self.SLEWS, self.LOADS
         )
-        lib_v = SpiceCharacterizer(TECH, temperature, settings=VECTOR).characterize_cell(
+        lib_v = SerialGridCharacterizer(TECH, temperature).characterize_cell(
             cell, self.SLEWS, self.LOADS
         )
         for arc_b, arc_v in zip(lib_b.arcs, lib_v.arcs):
@@ -237,12 +242,13 @@ class TestArcTableDifferential:
 
     def test_batch_tables_close_to_scalar_tables(self):
         cell = catalog.make_inv(1)
-        lib_b = SpiceCharacterizer(TECH, 77.0, settings=BATCH).characterize_cell(
+        lib_b = SpiceCharacterizer(TECH, 77.0).characterize_cell(
             cell, self.SLEWS, self.LOADS
         )
-        lib_s = SpiceCharacterizer(TECH, 77.0, settings=SCALAR).characterize_cell(
-            cell, self.SLEWS, self.LOADS
-        )
+        with scalar_stamps():
+            lib_s = SerialGridCharacterizer(TECH, 77.0).characterize_cell(
+                cell, self.SLEWS, self.LOADS
+            )
         for arc_b, arc_s in zip(lib_b.arcs, lib_s.arcs):
             for field in ARC_FIELDS:
                 np.testing.assert_allclose(
@@ -344,7 +350,7 @@ class TestConvergenceMasks:
 
 
 class TestFaultDifferential:
-    """Batch ≡ vector under deterministic spice.newton fault plans."""
+    """Batch ≡ serial grid loop under deterministic spice.newton fault plans."""
 
     PLANS = (
         "seed=3;spice.newton:0.3:depth=2",       # heavy, ladder-recovered
@@ -358,14 +364,12 @@ class TestFaultDifferential:
         slews = TECH.slew_grid[1::3]
         loads = TECH.load_grid[1::3]
 
-        def run(settings):
+        def run(characterizer):
             with faults.injecting(faults.parse_plan(plan_text)):
-                return SpiceCharacterizer(
-                    TECH, 77.0, settings=settings
-                ).characterize_cell(cell, slews, loads)
+                return characterizer(TECH, 77.0).characterize_cell(cell, slews, loads)
 
-        lib_b = run(BATCH)
-        lib_v = run(VECTOR)
+        lib_b = run(SpiceCharacterizer)
+        lib_v = run(SerialGridCharacterizer)
         assert lib_b.degraded_arcs == lib_v.degraded_arcs
         for arc_b, arc_v in zip(lib_b.arcs, lib_v.arcs):
             for field in ARC_FIELDS:
@@ -377,7 +381,7 @@ class TestFaultDifferential:
         cell = catalog.make_nand(2, 1)
         plan = faults.parse_plan("seed=5;spice.newton:first=1:depth=99")
         with faults.injecting(plan):
-            lib = SpiceCharacterizer(TECH, 77.0, settings=BATCH).characterize_cell(
+            lib = SpiceCharacterizer(TECH, 77.0).characterize_cell(
                 cell, TECH.slew_grid[1::3], TECH.load_grid[1::3]
             )
         assert plan.fires().get("spice.newton", 0) > 0
@@ -419,13 +423,13 @@ class TestBatchMachinery:
 
     def test_counter_parity_with_serial_vector(self):
         """The batched run emits the exact per-instance solver effort
-        the serial vector loop would: same transient step counts, same
-        Newton solve/iteration totals."""
+        the serial loop would: same transient step counts, same Newton
+        solve/iteration totals."""
         specs = mixed_fet_specs()
         with obs.Tracer() as tracer_b:
             BatchedSimulator(specs, 77.0).transient_all()
         with obs.Tracer() as tracer_v:
-            serial_reference(specs, 77.0, VECTOR)
+            serial_reference(specs, 77.0)
         for counter in (
             "spice.transient.runs",
             "spice.transient.steps",
@@ -449,22 +453,38 @@ class TestBatchMachinery:
 
 
 class TestDefaultKernelSelection:
-    def test_batch_is_the_default_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert default_kernel() == "batch"
-        assert SimulatorSettings().kernel == "batch"
+    """Characterization runs every arc grid as one trajectory batch."""
 
-    def test_characterizer_default_uses_batch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_batch_is_the_default_kernel(self):
+        with obs.Tracer() as tracer:
+            library = characterize_library(
+                TECH, 77.0, cells=[catalog.make_nand(2, 1)], backend="spice",
+                cache=False,
+            )
+        n_arcs = len(library.cells["NAND2x1"].arcs)
+        assert tracer.counters.get("spice.batch.runs", 0) == n_arcs
+        assert tracer.counters.get("spice.kernel.batch", 0) > 0
+        assert tracer.counters.get("spice.kernel.vector", 0) == 0
+
+    def test_characterizer_default_uses_batch(self):
+        """A lone arc point stays on the serial path; its grid does not."""
         characterizer = SpiceCharacterizer(TECH, 77.0)
-        assert characterizer.settings.kernel == "batch"
+        cell = catalog.make_inv(1)
+        with obs.Tracer() as serial:
+            characterizer.measure_arc(cell, "A", "Y", True, 5e-12, 2e-15)
+        assert serial.counters.get("spice.batch.runs", 0) == 0
+        assert serial.counters.get("spice.kernel.vector", 0) > 0
+        with obs.Tracer() as grid:
+            characterizer.characterize_cell(cell, (5e-12,), (2e-15,))
+        assert grid.counters.get("spice.batch.runs", 0) == 1
+        assert grid.counters.get("spice.kernel.vector", 0) == 0
 
     def test_charlib_batch_counter(self):
         cell = catalog.make_inv(1)
         with obs.Tracer() as tracer:
-            SpiceCharacterizer(TECH, 77.0, settings=BATCH).characterize_cell(
+            SpiceCharacterizer(TECH, 77.0).characterize_cell(
                 cell, (5e-12,), (2e-15,)
             )
-        assert tracer.counters.get("charlib.spice.kernel.batch", 0) == 2
         assert tracer.counters.get("spice.batch.runs", 0) == 1
         assert tracer.counters.get("spice.batch.instances", 0) == 2
+        assert not any(k.startswith("charlib.spice.kernel") for k in tracer.counters)

@@ -172,17 +172,17 @@ class TestStepAccounting:
     ``_advance_step`` call; it is now the module-level ``_v_of`` and the
     time grid comes from ``build_time_grid``.  These tests pin the
     observable contract of that refactor: identical grids and identical
-    per-step Newton effort across kernels.
+    per-step Newton effort on the vector stamper and the scalar oracle.
     """
 
     def _counters(self, kernel):
         from repro import obs
-        from repro.spice import SimulatorSettings
 
+        from .oracles.spice_reference import scalar_simulator
+
+        simulator = scalar_simulator if kernel == "scalar" else Simulator
         with obs.Tracer() as tracer:
-            result = Simulator(
-                make_inverter(), 300.0, settings=SimulatorSettings(kernel=kernel)
-            ).transient(t_stop=2e-10, dt=2e-12)
+            result = simulator(make_inverter(), 300.0).transient(t_stop=2e-10, dt=2e-12)
         return result, tracer.counters
 
     def test_step_count_matches_time_grid(self):

@@ -1,8 +1,9 @@
-"""Differential tests pinning the vector kernel to the scalar reference.
+"""Differential tests pinning the vector stamper to the scalar oracle.
 
-Every circuit is solved twice — once with ``SimulatorSettings
-(kernel="scalar")`` (the per-element reference loops) and once with
-``kernel="vector"`` (the batched stamper) — and the solutions must
+Every circuit is solved twice — once on a :class:`Simulator` with the
+per-element :class:`~tests.oracles.spice_reference.ScalarStamper`
+installed and once on a plain :class:`Simulator` (the batched
+:class:`~repro.spice.kernels.VectorStamper`) — and the solutions must
 agree to ≤1e-9 relative on every node voltage.  DC sweeps and
 transients are additionally compared through the rounded-waveform
 digest (:func:`repro.spice.waveform_digest`), the same primitive the
@@ -10,8 +11,8 @@ golden-file regressions use.
 
 The whole module is ``no_chaos``: fault injection draws from a shared
 stream whose position depends on call ordering, so injected Newton
-perturbations would hit the two kernel paths at different points and
-the comparison would measure the fault plan, not the kernels.
+perturbations would hit the two stampers at different points and the
+comparison would measure the fault plan, not the kernels.
 """
 
 import numpy as np
@@ -21,14 +22,16 @@ from repro.device import CryoFinFET, default_nfet_5nm, default_pfet_5nm
 from repro import obs
 from repro.spice import (
     DC,
+    BatchedSimulator,
     Circuit,
     Simulator,
-    SimulatorSettings,
-    default_kernel,
+    TrajectorySpec,
     pulse,
     ramp,
     waveform_digest,
 )
+
+from .oracles.spice_reference import scalar_simulator
 
 pytestmark = pytest.mark.no_chaos
 
@@ -43,9 +46,6 @@ RTOL = 1e-9
 #: directly with allclose.  Same-kernel reproducibility digests (the
 #: golden files) use the default 1 nV grid.
 DIGEST_DECIMALS = 6
-
-SCALAR = SimulatorSettings(kernel="scalar")
-VECTOR = SimulatorSettings(kernel="vector")
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +138,18 @@ class TestDifferentialDC:
     @pytest.mark.parametrize("temperature", TEMPERATURES)
     @pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b().name)
     def test_operating_point_agrees(self, build, temperature):
-        op_s = Simulator(build(), temperature, settings=SCALAR).dc_operating_point()
-        op_v = Simulator(build(), temperature, settings=VECTOR).dc_operating_point()
+        op_s = scalar_simulator(build(), temperature).dc_operating_point()
+        op_v = Simulator(build(), temperature).dc_operating_point()
         vs, vv = _node_voltages(op_s), _node_voltages(op_v)
         np.testing.assert_allclose(vv, vs, rtol=RTOL, atol=RTOL * VDD)
 
     @pytest.mark.parametrize("temperature", TEMPERATURES)
     def test_dc_sweep_arrays_agree(self, temperature):
         values = np.linspace(0.0, VDD, 21)
-        states = {}
-        for settings in (SCALAR, VECTOR):
-            sim = Simulator(inverter(), temperature, settings=settings)
-            states[settings.kernel] = sim.dc_sweep_arrays("vin", values)
+        states = {
+            "scalar": scalar_simulator(inverter(), temperature).dc_sweep_arrays("vin", values),
+            "vector": Simulator(inverter(), temperature).dc_sweep_arrays("vin", values),
+        }
         np.testing.assert_allclose(
             states["vector"], states["scalar"], rtol=RTOL, atol=RTOL * VDD
         )
@@ -162,15 +162,15 @@ class TestDifferentialTransient:
     @pytest.mark.parametrize("temperature", TEMPERATURES)
     @pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b().name)
     def test_waveform_digest_matches(self, build, temperature):
-        res_s = Simulator(build(), temperature, settings=SCALAR).transient(2e-10, 2e-12)
-        res_v = Simulator(build(), temperature, settings=VECTOR).transient(2e-10, 2e-12)
+        res_s = scalar_simulator(build(), temperature).transient(2e-10, 2e-12)
+        res_v = Simulator(build(), temperature).transient(2e-10, 2e-12)
         assert waveform_digest(res_v, decimals=DIGEST_DECIMALS) == waveform_digest(
             res_s, decimals=DIGEST_DECIMALS
         )
 
     def test_node_waveforms_within_tolerance(self):
-        res_s = Simulator(inverter(), 77.0, settings=SCALAR).transient(3e-10, 1e-12)
-        res_v = Simulator(inverter(), 77.0, settings=VECTOR).transient(3e-10, 1e-12)
+        res_s = scalar_simulator(inverter(), 77.0).transient(3e-10, 1e-12)
+        res_v = Simulator(inverter(), 77.0).transient(3e-10, 1e-12)
         for node in res_s.voltages:
             np.testing.assert_allclose(
                 res_v.voltage(node),
@@ -182,37 +182,26 @@ class TestDifferentialTransient:
 
 
 class TestKernelSelection:
-    def test_default_kernel_is_batch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert default_kernel() == "batch"
-        assert SimulatorSettings().kernel == "batch"
+    """The stamping path follows the input: one circuit or a grid."""
 
-    def test_env_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert SimulatorSettings().kernel == "scalar"
-
-    def test_env_selects_vector(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        assert SimulatorSettings().kernel == "vector"
-
-    def test_env_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "simd")
-        with pytest.raises(ValueError):
-            default_kernel()
+    @pytest.mark.parametrize("kernel", ["vector", "batch"])
+    def test_obs_counter_tracks_kernel_path(self, kernel):
+        with obs.Tracer() as tracer:
+            if kernel == "vector":
+                Simulator(inverter(), 300.0).transient(5e-11, 2e-12)
+            else:
+                BatchedSimulator(
+                    [TrajectorySpec(inverter(), 5e-11, 2e-12)], 300.0
+                ).transient_all()
+        assert tracer.counters.get(f"spice.kernel.{kernel}", 0) > 0
+        other = "batch" if kernel == "vector" else "vector"
+        assert tracer.counters.get(f"spice.kernel.{other}", 0) == 0
 
     def test_settings_reject_unknown(self):
-        with pytest.raises(ValueError):
-            SimulatorSettings(kernel="turbo")
-
-    def test_explicit_settings_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert SimulatorSettings(kernel="vector").kernel == "vector"
-
-    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
-    def test_obs_counter_tracks_kernel_path(self, kernel):
-        settings = SimulatorSettings(kernel=kernel)
-        with obs.Tracer() as tracer:
-            Simulator(inverter(), 300.0, settings=settings).dc_operating_point()
-        assert tracer.counters.get(f"spice.kernel.{kernel}", 0) > 0
-        other = "vector" if kernel == "scalar" else "scalar"
-        assert tracer.counters.get(f"spice.kernel.{other}", 0) == 0
+        """No SPICE entry point takes a kernel setting any more."""
+        with pytest.raises(TypeError):
+            Simulator(inverter(), 300.0, settings=None)
+        with pytest.raises(TypeError):
+            BatchedSimulator(
+                [TrajectorySpec(inverter(), 5e-11, 2e-12)], 300.0, settings=None
+            )

@@ -77,7 +77,7 @@ class TestTiming:
     def test_loads_include_pins_and_wires(self, lib10):
         net = map_to_gates(random_network(1), lib10)
         config = SignoffConfig()
-        loads = StaticTimingAnalyzer(net, lib10, config).net_loads()
+        loads = StaticTimingAnalyzer(net, lib10, config).analyze().net_load
         for value in loads.values():
             assert value >= config.wire_cap_base
 

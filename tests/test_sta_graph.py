@@ -1,16 +1,18 @@
-"""Differential suite: graph STA ≡ legacy STA.
+"""Differential suite: graph STA ≡ the per-gate reference engine.
 
 The levelized array engine (``repro/sta/graph.py``) is designed to
-replay the legacy per-gate propagation arithmetic operation for
-operation, so the contract checked here is *bit-identity* (stronger
-than the ≤ 1e-12 requirement): identical arrivals, slews, loads,
-critical path, and PO arrivals on
+replay the per-gate propagation arithmetic of the reference engine
+(``tests/oracles/sta_reference.py``) operation for operation, so the
+contract checked here is *bit-identity* (stronger than the ≤ 1e-12
+requirement): identical arrivals, slews, loads, critical path, and PO
+arrivals on
 
 * every circuit of the benchgen suite,
 * degraded libraries (analytic-fallback NLDM tables),
 * randomized incremental-edit sequences, where ``retime`` after each
   cell swap must equal both a from-scratch graph analysis and the
-  legacy engine on the swapped netlist.
+  reference engine on the swapped netlist,
+* gate sizing, which must reach the same decisions on either engine.
 """
 
 import random
@@ -27,13 +29,10 @@ from repro.mapping.netlist import GateInstance, MappedNetlist
 from repro.mapping.sizing import _build_families, _family_key, size_gates
 from repro.mapping.cost import CostPolicy
 from repro.sta.graph import TimingGraph
-from repro.sta.interp import PackedTables, bilinear_many
-from repro.sta.timing import (
-    SignoffConfig,
-    StaticTimingAnalyzer,
-    TimingReport,
-    default_engine,
-)
+from repro.sta.interp import PackedTables
+from repro.sta.timing import SignoffConfig, StaticTimingAnalyzer, TimingReport
+
+from .oracles import sta_reference
 
 
 @pytest.fixture(scope="module")
@@ -59,33 +58,24 @@ def assert_reports_identical(a: TimingReport, b: TimingReport) -> None:
 
 
 def both_engines(netlist, library, config=None):
-    legacy = StaticTimingAnalyzer(
-        netlist, library, config, engine="legacy"
-    ).analyze()
-    graph = StaticTimingAnalyzer(
-        netlist, library, config, engine="graph"
-    ).analyze()
+    legacy = sta_reference.analyze(netlist, library, config)
+    graph = StaticTimingAnalyzer(netlist, library, config).analyze()
     return legacy, graph
 
 
 class TestEngineSelection:
-    def test_default_is_graph(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STA", raising=False)
-        assert default_engine() == "graph"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STA", "legacy")
-        assert default_engine() == "legacy"
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STA", "quantum")
-        with pytest.raises(ValueError, match="REPRO_STA"):
-            default_engine()
+    def test_default_is_graph(self, library):
+        netlist = map_to_gates(build_circuit("ctrl", "small"), library)
+        analyzer = StaticTimingAnalyzer(netlist, library)
+        with obs.Tracer() as tracer:
+            analyzer.analyze()
+        assert isinstance(analyzer.graph, TimingGraph)
+        assert tracer.counters.get("sta.graph_builds") == 1
 
     def test_invalid_engine_argument_rejected(self, library):
         netlist = map_to_gates(build_circuit("ctrl", "small"), library)
-        with pytest.raises(ValueError, match="engine"):
-            StaticTimingAnalyzer(netlist, library, engine="quantum")
+        with pytest.raises(TypeError, match="engine"):
+            StaticTimingAnalyzer(netlist, library, engine="graph")
 
 
 class TestInterpKernel:
@@ -174,10 +164,10 @@ class TestFullSuiteDifferential:
 
     def test_net_loads_match(self, library):
         netlist = map_to_gates(build_circuit("priority", "small"), library)
-        legacy = StaticTimingAnalyzer(netlist, library, engine="legacy")
-        graph = StaticTimingAnalyzer(netlist, library, engine="graph")
-        assert legacy.net_loads() == graph.net_loads()
-        assert list(legacy.net_loads()) == list(graph.net_loads())
+        legacy = sta_reference.net_loads(netlist, library)
+        graph = StaticTimingAnalyzer(netlist, library).analyze().net_load
+        assert legacy == graph
+        assert list(legacy) == list(graph)
 
 
 class TestDegradedLibrary:
@@ -237,9 +227,7 @@ class TestIncrementalRetime:
                               g.output_pin) for g in gates],
             )
             scratch = TimingGraph(swapped, library).analyze()
-            legacy = StaticTimingAnalyzer(
-                swapped, library, engine="legacy"
-            ).analyze()
+            legacy = sta_reference.analyze(swapped, library)
             assert_reports_identical(incremental, scratch)
             assert_reports_identical(incremental, legacy)
 
@@ -268,7 +256,7 @@ class TestIncrementalRetime:
 
     def test_sync_absorbs_external_swaps(self, library):
         netlist = map_to_gates(build_circuit("div", "small"), library)
-        analyzer = StaticTimingAnalyzer(netlist, library, engine="graph")
+        analyzer = StaticTimingAnalyzer(netlist, library)
         first = analyzer.analyze()
         # Swap cells in place (what sizing does) and re-analyze.
         for gi, new_cell, gates in _swap_sequence(netlist, library, 9, 10):
@@ -278,9 +266,7 @@ class TestIncrementalRetime:
                 netlist.gates[gi].output_net, netlist.gates[gi].output_pin,
             )
         second = analyzer.analyze()
-        legacy = StaticTimingAnalyzer(
-            netlist, library, engine="legacy"
-        ).analyze()
+        legacy = sta_reference.analyze(netlist, library)
         assert_reports_identical(second, legacy)
 
     def test_sync_detects_structural_change(self, library):
@@ -311,23 +297,20 @@ class TestIncrementalRetime:
 
 
 class TestSizingIntegration:
-    def test_sizing_issues_incremental_retimes(self, library):
+    def test_sizing_issues_incremental_retimes(self, library, monkeypatch):
         netlist = map_to_gates(build_circuit("int2float", "small"), library)
         policy = CostPolicy("d_p_a", ("delay", "power", "area"), epsilon=0.05)
         with obs.Tracer() as tracer:
             sized, report = size_gates(netlist, library, policy)
         assert report.total_changes > 0
         assert tracer.counters.get("sta.incremental_hits", 0) >= 1
-        # Legacy sizing reaches the same decisions (timing is
-        # bit-identical, so candidate costs are too).
-        import os
-
-        sized_legacy, report_legacy = None, None
-        os.environ["REPRO_STA"] = "legacy"
-        try:
-            sized_legacy, report_legacy = size_gates(netlist, library, policy)
-        finally:
-            os.environ.pop("REPRO_STA", None)
+        # Sizing on the reference engine reaches the same decisions
+        # (timing is bit-identical, so candidate costs are too).
+        monkeypatch.setattr(
+            StaticTimingAnalyzer, "analyze",
+            lambda self: sta_reference.analyze(self.netlist, self.library, self.config),
+        )
+        sized_legacy, report_legacy = size_gates(netlist, library, policy)
         assert [g.cell for g in sized.gates] == [g.cell for g in sized_legacy.gates]
         assert report.total_changes == report_legacy.total_changes
 
