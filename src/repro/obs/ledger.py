@@ -79,6 +79,10 @@ _COUNTER_PREFIXES = (
     # STA engine health: incremental-vs-full retime mix and query
     # volume, so ``repro ledger compare`` surfaces timing-path drift.
     "sta.",
+    # SAT sweeping: solver calls vs. counterexample refutations per
+    # pass (one emission each), so drift in solver work shows.
+    "synth.resub.",
+    "synth.dch.",
 )
 
 

@@ -1,8 +1,10 @@
-"""SAT reasoning engine: CDCL solver, Tseitin encoding, equivalence checking."""
+"""SAT reasoning engine: CDCL solver, Tseitin encoding, equivalence
+checking and SAT sweeping."""
 
 from .solver import Solver, SolverStats, solve_cnf
 from .tseitin import AIGEncoder
 from .cec import CECResult, assert_equivalent, check_equivalence
+from .sweep import SweepEngine
 
 __all__ = [
     "Solver",
@@ -12,4 +14,5 @@ __all__ = [
     "CECResult",
     "assert_equivalent",
     "check_equivalence",
+    "SweepEngine",
 ]

@@ -384,9 +384,6 @@ class Solver:
             self._trail_lim.append(len(self._trail))
             self._enqueue(decision, None)
 
-    def _assumption_level(self, assumptions: list[int]) -> int:
-        return min(len(assumptions), len(self._trail_lim))
-
     # ------------------------------------------------------------------
     def model(self) -> dict[int, bool]:
         """Satisfying assignment after a True result."""

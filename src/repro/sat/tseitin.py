@@ -3,8 +3,8 @@
 Each AIG node becomes one SAT variable; an AND node ``n = a & b``
 contributes the three clauses ``(!n | a)``, ``(!n | b)``,
 ``(n | !a | !b)``.  The encoding is the bridge between the synthesis
-data structures and the CDCL engine for equivalence checking and
-SAT-based resubstitution.
+data structures and the CDCL engine for equivalence checking;
+:mod:`repro.sat.sweep` emits the same clauses cone by cone.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ implementation:
    common parts),
 3. groups nodes into equivalence classes by bit-parallel simulation
    signatures and proves each class member against its representative
-   with the CDCL solver (budgeted; unproven members are dropped).
+   with :class:`repro.sat.sweep.SweepEngine` (budgeted; unproven
+   members are dropped).
 
 The result feeds :func:`repro.synth.lutmap.map_luts`, which merges the
 cut sets of all class members.
@@ -22,8 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..sat.solver import Solver
-from ..sat.tseitin import AIGEncoder
+from .. import obs
+from ..sat.sweep import SweepEngine
 from .aig import AIG, CONST0, lit_var
 from .balance import balance
 from .refactor import refactor
@@ -70,17 +71,24 @@ def compute_choices(
 ) -> ChoiceAIG:
     """Build the choice-augmented network from snapshot variants.
 
-    ``max_sat_proofs`` bounds the total SAT effort: once exhausted,
-    remaining signature groups keep their members unproven (they are
-    simply not offered as choices -- never guessed equivalent).
+    ``max_sat_proofs`` bounds the class members examined against their
+    representative, whether counterexample simulation or the solver
+    refutes them.  Once exhausted, the remaining members stay unproven
+    (they are simply not offered as choices -- never guessed
+    equivalent).  ``sat_conflict_limit`` bounds each solver call.
     """
     scripts = scripts if scripts is not None else _default_scripts()
-    variants = [script(aig) for script in scripts]
+    combined = union_variants(aig, [script(aig) for script in scripts])
+    return choice_classes(combined, patterns, sat_conflict_limit, max_sat_proofs, seed)
 
-    # Union all variants over shared PIs.
+
+def union_variants(aig: AIG, variants: list[AIG]) -> AIG:
+    """All variants of ``aig`` in one network over shared PIs.
+
+    The POs are those of the first variant.
+    """
     combined = AIG(aig.name)
     pi_lits = [combined.add_pi(name) for name in aig.pi_names]
-    po_lits: list[int] = []
     for v_index, variant in enumerate(variants):
         if variant.num_pis != aig.num_pis or variant.num_pos != aig.num_pos:
             raise ValueError("choice script changed the network interface")
@@ -94,10 +102,18 @@ def compute_choices(
             mapping[node] = combined.add_and(a, b)
         if v_index == 0:
             for po, name in zip(variant.pos, variant.po_names):
-                po_lits.append(mapping[lit_var(po)] ^ (po & 1))
-                combined.add_po(po_lits[-1], name)
+                combined.add_po(mapping[lit_var(po)] ^ (po & 1), name)
+    return combined
 
-    # Signatures on the combined network.
+
+def choice_classes(
+    combined: AIG,
+    patterns: int = 256,
+    sat_conflict_limit: int = 300,
+    max_sat_proofs: int = 500,
+    seed: int = 0,
+) -> ChoiceAIG:
+    """Prove the simulation classes of ``combined`` (see :func:`compute_choices`)."""
     rng = random.Random(seed)
     words = [rng.getrandbits(patterns) for _ in combined.pis]
     values = combined.simulate_nodes(words, patterns)
@@ -112,25 +128,9 @@ def compute_choices(
     representative = list(range(combined.num_nodes))
     phase = [False] * combined.num_nodes
     members: dict[int, list[int]] = {}
+    engine = SweepEngine(combined, sat_conflict_limit)
 
-    solver = Solver()
-    encoder = AIGEncoder(solver)
-    node_var = encoder.encode(combined)
-
-    proofs = [0]
-
-    def proved_equal(a_var: int, b_var: int) -> bool:
-        if proofs[0] >= max_sat_proofs:
-            return False
-        proofs[0] += 1
-        x = solver.new_var()
-        solver.add_clause([-x, a_var, b_var])
-        solver.add_clause([-x, -a_var, -b_var])
-        result = solver.solve(assumptions=[x], conflict_limit=sat_conflict_limit)
-        solver.add_clause([-x])
-        return result is False
-
-    for canon, entries in groups.items():
+    for entries in groups.values():
         if len(entries) < 2:
             node, _ = entries[0]
             members[node] = [node]
@@ -140,9 +140,9 @@ def compute_choices(
         cls = [repr_node]
         for node, flipped in entries[1:]:
             rel_phase = flipped != repr_flipped
-            a = node_var[repr_node]
-            b = node_var[node] * (-1 if rel_phase else 1)
-            if proved_equal(a, b):
+            if engine.examined < max_sat_proofs and engine.equal(
+                repr_node, (node << 1) | rel_phase
+            ):
                 representative[node] = repr_node
                 phase[node] = rel_phase
                 cls.append(node)
@@ -150,4 +150,6 @@ def compute_choices(
                 members.setdefault(node, [node])
         members[repr_node] = cls
 
+    obs.count("synth.dch.sat_queries", engine.sat_queries)
+    obs.count("synth.dch.sim_refuted", engine.sim_refuted)
     return ChoiceAIG(combined, representative, phase, members)

@@ -8,8 +8,10 @@ the modern recipe:
 2. signature matching proposes 0-resub (node == divisor, possibly
    complemented) and 1-resub (node == AND of two divisor literals)
    candidates;
-3. every candidate is *proved* with the CDCL solver on the network's
-   CNF before it is accepted (simulation alone can alias);
+3. every candidate is *proved* before it is accepted (simulation alone
+   can alias) by :class:`repro.sat.sweep.SweepEngine`: counterexamples
+   from earlier refutations reject most candidates without a solver
+   call, and each solver call sees only the cones it needs;
 4. accepted substitutions are applied in one reconstruction pass.
 
 Because AIG node ids are topologically ordered, restricting divisors
@@ -22,8 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .. import obs
-from ..sat.solver import Solver
-from ..sat.tseitin import AIGEncoder
+from ..sat.sweep import SweepEngine
 from .aig import AIG, CONST0, lit_var
 
 
@@ -33,39 +34,6 @@ class _Pair:
 
     lit_a: int
     lit_b: int
-
-
-class _Prover:
-    """Incremental SAT oracle over one network's CNF."""
-
-    def __init__(self, aig: AIG):
-        self.solver = Solver()
-        encoder = AIGEncoder(self.solver)
-        self.node_var = encoder.encode(aig)
-
-    def _prove_differs_unsat(self, a: int, b: int, conflict_limit: int) -> bool:
-        x = self.solver.new_var()
-        self.solver.add_clause([-x, a, b])
-        self.solver.add_clause([-x, -a, -b])
-        result = self.solver.solve(assumptions=[x], conflict_limit=conflict_limit)
-        self.solver.add_clause([-x])
-        return result is False
-
-    def equal(self, node: int, lit: int, conflict_limit: int = 2000) -> bool:
-        """Prove node == lit (an AIG literal).  False on refute/timeout."""
-        a = self.node_var[node]
-        b = self.node_var[lit_var(lit)] * (-1 if lit & 1 else 1)
-        return self._prove_differs_unsat(a, b, conflict_limit)
-
-    def equal_and(self, node: int, lit_a: int, lit_b: int, conflict_limit: int = 2000) -> bool:
-        """Prove node == (lit_a & lit_b)."""
-        a = self.node_var[lit_var(lit_a)] * (-1 if lit_a & 1 else 1)
-        b = self.node_var[lit_var(lit_b)] * (-1 if lit_b & 1 else 1)
-        t = self.solver.new_var()
-        self.solver.add_clause([-t, a])
-        self.solver.add_clause([-t, b])
-        self.solver.add_clause([t, -a, -b])
-        return self._prove_differs_unsat(self.node_var[node], t, conflict_limit)
 
 
 def _mffc_node_count(aig: AIG, node: int, fanouts: list[int]) -> int:
@@ -88,12 +56,38 @@ def resub(
 ) -> AIG:
     """One resubstitution pass; returns the optimized network.
 
-    ``max_sat_queries`` bounds the total number of SAT proofs per pass
-    (candidates beyond the budget are skipped, never guessed), keeping
-    the pass linear-ish on very large redundant networks.
+    ``max_sat_queries`` bounds the candidates examined per pass, whether
+    counterexample simulation or the solver refutes them (candidates
+    beyond the budget are skipped, never guessed).  The budget is
+    checked once per node, so the node that crosses it finishes its
+    candidates: a pass can examine a few more than the bound.
+    ``conflict_limit`` bounds each solver call; a call that exceeds it
+    rejects its candidate.
     """
     if aig.num_ands == 0:
         return aig.cleanup()
+    literal_subs, pair_subs = find_substitutions(
+        aig, patterns, max_divisors, try_binary, seed, max_sat_queries, conflict_limit
+    )
+    if not literal_subs and not pair_subs:
+        return aig.cleanup()
+    return _apply(aig, literal_subs, pair_subs)
+
+
+def find_substitutions(
+    aig: AIG,
+    patterns: int = 256,
+    max_divisors: int = 64,
+    try_binary: bool = True,
+    seed: int = 0,
+    max_sat_queries: int = 800,
+    conflict_limit: int = 300,
+) -> tuple[dict[int, int], dict[int, _Pair]]:
+    """The proven substitutions of one pass: (literal_subs, pair_subs).
+
+    ``literal_subs`` maps a node to the literal that replaces it
+    (0-resub), ``pair_subs`` to the AND of two literals (1-resub).
+    """
     rng = random.Random(seed)
     mask = (1 << patterns) - 1
     words = [rng.getrandbits(patterns) for _ in aig.pis]
@@ -104,22 +98,10 @@ def resub(
         by_signature.setdefault(values[node], []).append(node)
 
     fanouts = aig.fanout_counts()
-    prover = _Prover(aig)
+    engine = SweepEngine(aig, conflict_limit)
     literal_subs: dict[int, int] = {}
     pair_subs: dict[int, _Pair] = {}
     replaced: set[int] = set()
-    queries = [0]
-
-    def budget_left() -> bool:
-        return queries[0] < max_sat_queries
-
-    def prove_equal(node: int, lit: int) -> bool:
-        queries[0] += 1
-        return prover.equal(node, lit, conflict_limit)
-
-    def prove_equal_and(node: int, la: int, lb: int) -> bool:
-        queries[0] += 1
-        return prover.equal_and(node, la, lb, conflict_limit)
 
     def usable(candidate: int, node: int) -> bool:
         # candidate < node keeps the substitution acyclic (topo ids).
@@ -127,21 +109,21 @@ def resub(
 
     # --- 0-resub: identical or complementary signatures ---------------
     for node in aig.and_nodes():
-        if not budget_left():
+        if engine.examined >= max_sat_queries:
             break
         sig = values[node]
         found = None
         for candidate in by_signature.get(sig, []):
             if candidate >= node:
                 break
-            if usable(candidate, node) and prove_equal(node, candidate << 1):
+            if usable(candidate, node) and engine.equal(node, candidate << 1):
                 found = candidate << 1
                 break
         if found is None:
             for candidate in by_signature.get(sig ^ mask, []):
                 if candidate >= node:
                     break
-                if usable(candidate, node) and prove_equal(node, (candidate << 1) | 1):
+                if usable(candidate, node) and engine.equal(node, (candidate << 1) | 1):
                     found = (candidate << 1) | 1
                     break
         if found is not None:
@@ -151,7 +133,7 @@ def resub(
     # --- 1-resub: node == divisor_a & divisor_b ------------------------
     if try_binary:
         for node in aig.and_nodes():
-            if not budget_left():
+            if engine.examined >= max_sat_queries:
                 break
             if node in replaced:
                 continue
@@ -179,7 +161,7 @@ def resub(
                             if w1 & w2 == sig:
                                 la = (d1 << 1) | c1
                                 lb = (d2 << 1) | c2
-                                if prove_equal_and(node, la, lb):
+                                if engine.equal_and(node, la, lb):
                                     found = _Pair(la, lb)
                                     break
                         if found:
@@ -192,12 +174,10 @@ def resub(
                 pair_subs[node] = found
                 replaced.add(node)
 
-    obs.count("synth.resub.sat_queries", queries[0])
+    obs.count("synth.resub.sat_queries", engine.sat_queries)
+    obs.count("synth.resub.sim_refuted", engine.sim_refuted)
     obs.count("synth.resub.substitutions", len(literal_subs) + len(pair_subs))
-
-    if not literal_subs and not pair_subs:
-        return aig.cleanup()
-    return _apply(aig, literal_subs, pair_subs)
+    return literal_subs, pair_subs
 
 
 def _apply(aig: AIG, literal_subs: dict[int, int], pair_subs: dict[int, _Pair]) -> AIG:

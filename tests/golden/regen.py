@@ -15,6 +15,12 @@ is bitwise-identical to measuring each point on a serial
 * ``flow_ctrl_baseline.json`` — canonical ``FlowResult.to_dict()``
   JSON of the small EPFL-style ``ctrl`` benchmark through the
   baseline scenario at 10 K, power signed off at 1 ns / 128 vectors.
+* ``scenarios_sin.json`` and ``scenarios_priority.json`` — every
+  scenario of ``run_scenarios`` (fair-clock power rule) on the
+  default-preset ``sin`` and ``priority`` at 10 K: each scenario's
+  ``FlowResult.to_dict()`` plus the ``structural_hash`` of its
+  optimized AIG.  ``sin`` is where SAT resub accepts substitutions,
+  ``priority`` where its candidate budget binds.
 """
 
 import json
@@ -22,6 +28,9 @@ import pathlib
 import sys
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
+
+#: Default-preset circuits pinned under every scenario.
+SCENARIO_CIRCUITS = ("sin", "priority")
 
 
 def build_liberty_text() -> str:
@@ -51,9 +60,25 @@ def build_flow_json() -> str:
     return json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def build_scenarios_json(circuit: str) -> str:
+    from repro.benchgen import build_circuit
+    from repro.charlib import default_library
+    from repro.core import ArtifactCache, DesignContext, run_scenarios
+
+    context = DesignContext.from_library(default_library(10.0), cache=ArtifactCache())
+    results = run_scenarios(build_circuit(circuit), context=context)
+    pinned = {
+        scenario: {**result.to_dict(), "optimized_aig_hash": result.optimized_aig.structural_hash()}
+        for scenario, result in results.items()
+    }
+    return json.dumps(pinned, sort_keys=True, indent=2) + "\n"
+
+
 def main() -> int:
     (GOLDEN_DIR / "nand2_spice_77k.lib").write_text(build_liberty_text())
     (GOLDEN_DIR / "flow_ctrl_baseline.json").write_text(build_flow_json())
+    for circuit in SCENARIO_CIRCUITS:
+        (GOLDEN_DIR / f"scenarios_{circuit}.json").write_text(build_scenarios_json(circuit))
     print(f"regenerated goldens in {GOLDEN_DIR}")
     return 0
 

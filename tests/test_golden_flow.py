@@ -1,10 +1,12 @@
 """Golden-file regression of a small fixed flow.
 
 Pins the flow's output (no faults) bit-for-bit against checked-in
-references: a SPICE-characterized NAND2 Liberty at 77 K and the
-``ctrl``/baseline ``FlowResult`` JSON at 10 K.  Any intentional
-change that moves these must regenerate them (the command is
-documented in ``tests/golden/regen.py`` and ``docs/PERFORMANCE.md``):
+references: a SPICE-characterized NAND2 Liberty at 77 K, the
+``ctrl``/baseline ``FlowResult`` JSON at 10 K, and every scenario of
+``run_scenarios`` on the default-preset ``sin`` and ``priority`` at
+10 K.  Any intentional change that moves these must regenerate them
+(the command is documented in ``tests/golden/regen.py`` and
+``docs/PERFORMANCE.md``):
 
     PYTHONPATH=src python tests/golden/regen.py
 
@@ -56,3 +58,8 @@ class TestGoldenFlow:
         # here keeps the two representations in lockstep.
         stored = hashlib.sha256(_stored("flow_ctrl_baseline.json").encode()).hexdigest()
         assert hashlib.sha256(flow_json.encode()).hexdigest() == stored
+
+
+@pytest.mark.parametrize("circuit", regen.SCENARIO_CIRCUITS)
+def test_scenarios_match_golden(circuit):
+    assert regen.build_scenarios_json(circuit) == _stored(f"scenarios_{circuit}.json")

@@ -54,6 +54,30 @@ class TestRecord:
         assert record["config_fingerprint"]
         json.dumps(record)  # must be plain JSON
 
+    def test_sat_sweep_counters_are_persisted(self):
+        tracer = obs.Tracer()
+        with tracer:
+            with obs.span("synth.resub"):
+                obs.count("synth.resub.sat_queries", 63)
+                obs.count("synth.resub.sim_refuted", 745)
+            with obs.span("synth.dch"):
+                obs.count("synth.dch.sat_queries", 70)
+                obs.count("synth.dch.sim_refuted", 113)
+        record = ledger.build_record(tracer, command="synthesize")
+        assert record["counters"] == {
+            "synth.dch.sat_queries": 70,
+            "synth.dch.sim_refuted": 113,
+            "synth.resub.sat_queries": 63,
+            "synth.resub.sim_refuted": 745,
+        }
+        # A run that makes more solver calls shows as counter drift.
+        slower = dict(record, counters=dict(record["counters"], **{
+            "synth.resub.sat_queries": 808, "synth.resub.sim_refuted": 0}))
+        assert ledger.compare(record, slower)["counter_deltas"] == {
+            "synth.resub.sat_queries": 745,
+            "synth.resub.sim_refuted": -745,
+        }
+
     def test_fingerprint_matches_journal(self):
         # Same canonicalization as the run journal, so a journaled run
         # and its ledger record can be correlated by fingerprint.
