@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..device.bsimcmg import CryoFinFET
 from ..pdk.boolexpr import And, Expr, Lit, Or
 from ..pdk.cells import CellTemplate, Stage
@@ -87,6 +89,43 @@ def _literal_counts(expr: Expr) -> dict[str, int]:
     return counts
 
 
+def _measured(edge: tuple) -> tuple:
+    """An edge's (delay, slew, energy) grids, each delay point drawn
+    through the ``charlib.measure`` fault site in row-major order.
+    """
+    delay, slew, energy = edge
+    rows = [[faults.corrupt_value("charlib.measure", v) for v in row] for row in delay.tolist()]
+    return rows, slew, energy
+
+
+def _arc(pin, out, sense, slew, load, rise, fall, **kwargs) -> TimingArc:
+    """A timing arc from the (delay, slew, energy) grids of each output edge.
+
+    Table values are Python floats (``Library.fingerprint`` digests
+    their ``repr``); a grid that varies along one axis only is
+    broadcast to the full slew x load grid.
+    """
+    slews, loads = tuple(slew.ravel().tolist()), tuple(load.ravel().tolist())
+
+    def table(values) -> NLDMTable:
+        rows = np.broadcast_to(values, (len(slews), len(loads))).tolist()
+        return NLDMTable(slews, loads, tuple(map(tuple, rows)))
+
+    (rise_d, rise_s, rise_e), (fall_d, fall_s, fall_e) = rise, fall
+    return TimingArc(
+        related_pin=pin,
+        output_pin=out,
+        timing_sense=sense,
+        cell_rise=table(rise_d),
+        cell_fall=table(fall_d),
+        rise_transition=table(rise_s),
+        fall_transition=table(fall_s),
+        rise_power=table(rise_e),
+        fall_power=table(fall_e),
+        **kwargs,
+    )
+
+
 class AnalyticCharacterizer:
     """Characterizes cell templates at one temperature corner."""
 
@@ -95,16 +134,19 @@ class AnalyticCharacterizer:
         self.temperature_k = temperature_k
         self._n1 = tech.nfet_device(1)
         self._p1 = tech.pfet_device(1)
+        # Per-corner constants: every table point and leakage state re-uses these.
+        self._ioff1 = {
+            "n": self._n1.off_current(tech.vdd, temperature_k),
+            "p": self._p1.off_current(tech.vdd, temperature_k),
+        }
         self._stack_penalty = {
             "n": self._solve_stack_penalty(self._n1, sign=1.0),
             "p": self._solve_stack_penalty(self._p1, sign=-1.0),
         }
-        # Per-corner caches: every table point re-uses these.
         self._ieff_n1 = self._ieff(self._n1)
         self._ieff_p1 = self._ieff(self._p1)
         self._gate_cap_n1 = float(self._n1.gate_capacitance(temperature_k=temperature_k))
         self._gate_cap_p1 = float(self._p1.gate_capacitance(temperature_k=temperature_k))
-        self._node_load_cache: dict[tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------
     # Device-derived primitives
@@ -132,8 +174,7 @@ class AnalyticCharacterizer:
 
     def off_current(self, polarity: str, nfin: int) -> float:
         """Single-device OFF current [A]."""
-        device = self._n1 if polarity == "n" else self._p1
-        return device.off_current(self.tech.vdd, self.temperature_k) * nfin
+        return self._ioff1[polarity] * nfin
 
     def _solve_stack_penalty(self, device: CryoFinFET, sign: float) -> float:
         """Leakage suppression factor of a 2-high OFF stack.
@@ -152,14 +193,16 @@ class AnalyticCharacterizer:
             return i_bottom - i_top
 
         lo, hi = 1e-6, vdd / 2.0
-        if mismatch(lo) * mismatch(hi) > 0:
+        f_lo = mismatch(lo)
+        if f_lo * mismatch(hi) > 0:
             return 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if mismatch(lo) * mismatch(mid) <= 0:
+            f_mid = mismatch(mid)
+            if f_lo * f_mid <= 0:
                 hi = mid
             else:
-                lo = mid
+                lo, f_lo = mid, f_mid
         vx = 0.5 * (lo + hi)
         i_single = device.off_current(vdd, t)
         i_stack = abs(float(device.ids(0.0, sign * vx, t)))
@@ -191,10 +234,6 @@ class AnalyticCharacterizer:
 
     def _node_load(self, cell: CellTemplate, node: str) -> float:
         """Intrinsic capacitive load on a node (no external load)."""
-        key = (cell.name, node)
-        cached = self._node_load_cache.get(key)
-        if cached is not None:
-            return cached
         total = 0.0
         driver = None
         for stage in cell.stages:
@@ -206,7 +245,6 @@ class AnalyticCharacterizer:
             # Drain diffusion of the driver itself.
             nfin_n, nfin_p = self._stage_fins(driver)
             total += 0.3 * (self.gate_cap("n", nfin_n) + self.gate_cap("p", nfin_p))
-        self._node_load_cache[key] = total
         return total
 
     def _paths_to_output(self, cell: CellTemplate, pin: str, output: str) -> list[list[Stage]]:
@@ -227,24 +265,29 @@ class AnalyticCharacterizer:
         return paths
 
     # ------------------------------------------------------------------
-    # Timing/power along a path
+    # Timing/power along a path, over the whole grid
     # ------------------------------------------------------------------
-    def _path_metrics(
+    def _walk(
         self,
-        cell: CellTemplate,
         path: list[Stage],
         output_rising: bool,
-        input_slew: float,
-        external_load: float,
-    ) -> tuple[float, float, float]:
+        slew: np.ndarray,
+        load: np.ndarray,
+        node_loads: dict[str, float],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(delay, output slew, internal energy) along one stage path.
 
-        Every stage is inverting, so transition directions alternate
-        backwards from the requested output direction.
+        ``slew`` is the grid's input-slew column and ``load`` its
+        external-load row.  Only the first stage sees the input slew
+        and only the last the external load, so the results broadcast
+        over the grid.  Every operation is elementwise and keeps the
+        per-point formula's association order, so each grid point gets
+        the double a scalar walk would.  Every stage is inverting, so
+        transition directions alternate backwards from the requested
+        output direction.
         """
         n_stages = len(path)
         delay = 0.0
-        slew = input_slew
         energy = 0.0
         for i, stage in enumerate(path):
             # Direction of this stage's output.
@@ -252,26 +295,39 @@ class AnalyticCharacterizer:
             rising = output_rising if inversions_after % 2 == 0 else not output_rising
             nfin_n, nfin_p = self._stage_fins(stage)
             resistance = self.resistance_p(nfin_p) if rising else self.resistance_n(nfin_n)
-            load = self._node_load(cell, stage.output)
-            if i == n_stages - 1:
-                load += external_load
-            delay += LN2 * resistance * load + SLEW_DELAY_COEFF * slew
+            internal_c = node_loads[stage.output]
+            c = internal_c + load if i == n_stages - 1 else internal_c
+            delay = delay + (LN2 * resistance * c + SLEW_DELAY_COEFF * slew)
             # Short-circuit energy while the stage input ramps.
             ieff = (self._ieff_p1 * nfin_p) if rising else (self._ieff_n1 * nfin_n)
-            energy += SC_COEFF * ieff * slew * self.tech.vdd
+            energy = energy + SC_COEFF * ieff * slew * self.tech.vdd
             # Internal node charge (not the external load; that's
             # counted as switching power by the signoff tool).
-            internal_c = self._node_load(cell, stage.output)
-            energy += 0.5 * internal_c * self.tech.vdd**2
-            slew = SLEW_FACTOR * resistance * load
+            energy = energy + 0.5 * internal_c * self.tech.vdd**2
+            slew = SLEW_FACTOR * resistance * c
         return delay, slew, energy
+
+    def _slowest_path(self, paths, output_rising, slew, load, node_loads):
+        """Delay, slew and energy grids of the slowest path at each point.
+
+        A path wins a point only when strictly slower than every
+        earlier path in ``paths``, so ties keep the earlier path.
+        """
+        best_d = best_s = best_e = np.zeros((slew.size, load.size))
+        for path in paths:
+            d, s, e = self._walk(path, output_rising, slew, load, node_loads)
+            slower = d > best_d
+            best_d = np.where(slower, d, best_d)
+            best_s = np.where(slower, s, best_s)
+            best_e = np.where(slower, e, best_e)
+        return best_d, best_s, best_e
 
     # ------------------------------------------------------------------
     # Arc sense
     # ------------------------------------------------------------------
     @staticmethod
-    def _arc_sense(cell: CellTemplate, pin: str, output: str) -> str:
-        table = cell.output_truth_table(output)
+    def _arc_sense(cell: CellTemplate, table: int, pin: str) -> str:
+        """Unateness of ``pin`` in the output whose truth table is ``table``."""
         pin_index = cell.inputs.index(pin)
         n = len(cell.inputs)
         positive = negative = False
@@ -293,30 +349,30 @@ class AnalyticCharacterizer:
     # ------------------------------------------------------------------
     # Leakage
     # ------------------------------------------------------------------
-    def _stage_leakage(self, stage: Stage, states: dict[str, bool]) -> float:
-        """Leakage [W] of one stage given steady node states."""
-        output_high = states[stage.output]
-        nfin_n, nfin_p = self._stage_fins(stage)
-        depth_n = max(len(p) for p in _pdn_paths(stage.pull_down))
-        depth_p = max(len(p) for p in _pun_paths(stage.pull_down))
+    def _stage_leakage(self, network: tuple, states: dict[str, bool]) -> float:
+        """Leakage [W] of one stage given steady node states.
+
+        ``network`` is the stage's ``(output, PDN paths, PUN paths,
+        n unit OFF current, p unit OFF current)`` from
+        :meth:`_cell_leakage`.
+        """
+        output, pdn, pun, i_unit_n, i_unit_p = network
         total = 0.0
-        if output_high:
+        if states[output]:
             # PDN is off: every series path leaks with stack suppression.
             penalty = self._stack_penalty["n"]
-            i_unit = self.off_current("n", nfin_n * depth_n)
-            for path in _pdn_paths(stage.pull_down):
+            for path in pdn:
                 off_count = sum(1 for gate in path if not states[gate])
                 if off_count == 0:
                     continue  # conducting path; state machine handles it
-                total += i_unit / (penalty ** (off_count - 1))
+                total += i_unit_n / (penalty ** (off_count - 1))
         else:
             penalty = self._stack_penalty["p"]
-            i_unit = self.off_current("p", nfin_p * depth_p)
-            for path in _pun_paths(stage.pull_down):
+            for path in pun:
                 off_count = sum(1 for gate in path if states[gate])
                 if off_count == 0:
                     continue
-                total += i_unit / (penalty ** (off_count - 1))
+                total += i_unit_p / (penalty ** (off_count - 1))
         return total * self.tech.vdd
 
     def _cell_leakage(self, cell: CellTemplate) -> dict[str, float]:
@@ -326,11 +382,18 @@ class AnalyticCharacterizer:
             pins = pins + [cell.clock_pin]
         if len(pins) > 10:
             raise ValueError(f"cell {cell.name} has too many pins for state enumeration")
+        networks = []
+        for stage in cell.stages:
+            nfin_n, nfin_p = self._stage_fins(stage)
+            pdn, pun = _pdn_paths(stage.pull_down), _pun_paths(stage.pull_down)
+            i_unit_n = self.off_current("n", nfin_n * max(len(p) for p in pdn))
+            i_unit_p = self.off_current("p", nfin_p * max(len(p) for p in pun))
+            networks.append((stage.output, pdn, pun, i_unit_n, i_unit_p))
         result: dict[str, float] = {}
         for i in range(1 << len(pins)):
             inputs = {pin: bool((i >> j) & 1) for j, pin in enumerate(pins)}
             states = cell.node_states(inputs)
-            power = sum(self._stage_leakage(stage, states) for stage in cell.stages)
+            power = sum(self._stage_leakage(network, states) for network in networks)
             key = " ".join(f"{pin}={int(inputs[pin])}" for pin in pins)
             result[key] = power
         return result
@@ -350,7 +413,12 @@ class AnalyticCharacterizer:
         slews: tuple[float, ...] | None = None,
         loads: tuple[float, ...] | None = None,
     ) -> LibertyCell:
-        """Characterize one cell into a :class:`LibertyCell`."""
+        """Characterize one cell into a :class:`LibertyCell`.
+
+        Per-cell quantities (truth tables, node loads, stage networks)
+        are computed once per call and kept by none: one characterizer
+        serves many templates, and two may share a name.
+        """
         slews = slews or self.tech.slew_grid
         loads = loads or self.tech.load_grid
         pins = list(cell.inputs)
@@ -379,11 +447,15 @@ class AnalyticCharacterizer:
             footprint=cell.footprint,
         )
 
+        # The grid as a slew column and a load row: path walks broadcast over it.
+        slew = np.asarray(slews, dtype=float).reshape(-1, 1)
+        load = np.asarray(loads, dtype=float).reshape(1, -1)
+        node_loads = {stage.output: self._node_load(cell, stage.output) for stage in cell.stages}
         if cell.is_sequential:
-            self._add_sequential_arcs(cell, result, slews, loads)
+            self._add_sequential_arcs(cell, result, slew, load, node_loads)
             self._add_constraint_arcs(cell, result, slews)
         else:
-            self._add_combinational_arcs(cell, result, slews, loads)
+            self._add_combinational_arcs(cell, result, slew, load, node_loads)
         return result
 
     def _add_constraint_arcs(self, cell, result, slews) -> None:
@@ -433,49 +505,27 @@ class AnalyticCharacterizer:
             return self.gate_cap("n", 1) + self.gate_cap("p", 2)
         return sum(loads) / len(loads)
 
-    def _add_combinational_arcs(self, cell, result, slews, loads) -> None:
+    def _add_combinational_arcs(self, cell, result, slew, load, node_loads) -> None:
+        # With no fault plan the per-point site check cannot fire and
+        # has no side effects, so it is skipped.
+        measured = faults.active_plan() is not None
         for out in cell.outputs:
-            support = self._support(cell, out)
+            table = result.truth_tables[out]
+            support = self._support(cell, table)
             for pin in cell.inputs:
                 if pin not in support:
                     continue
                 paths = self._paths_to_output(cell, pin, out)
                 if not paths:
                     continue
-                sense = self._arc_sense(cell, pin, out)
+                rise = self._slowest_path(paths, True, slew, load, node_loads)
+                fall = self._slowest_path(paths, False, slew, load, node_loads)
+                if measured:  # one draw per delay point: rise row-major, then fall
+                    rise, fall = _measured(rise), _measured(fall)
+                sense = self._arc_sense(cell, table, pin)
+                result.arcs.append(_arc(pin, out, sense, slew, load, rise, fall))
 
-                def table(kind: str, rising: bool):
-                    def fn(slew: float, load: float) -> float:
-                        best_delay = 0.0
-                        best_slew = 0.0
-                        best_energy = 0.0
-                        for path in paths:
-                            d, s, e = self._path_metrics(cell, path, rising, slew, load)
-                            if d > best_delay:
-                                best_delay, best_slew, best_energy = d, s, e
-                        if kind == "delay":
-                            return faults.corrupt_value("charlib.measure", best_delay)
-                        if kind == "slew":
-                            return best_slew
-                        return best_energy
-
-                    return NLDMTable.from_function(slews, loads, fn)
-
-                result.arcs.append(
-                    TimingArc(
-                        related_pin=pin,
-                        output_pin=out,
-                        timing_sense=sense,
-                        cell_rise=table("delay", True),
-                        cell_fall=table("delay", False),
-                        rise_transition=table("slew", True),
-                        fall_transition=table("slew", False),
-                        rise_power=table("energy", True),
-                        fall_power=table("energy", False),
-                    )
-                )
-
-    def _add_sequential_arcs(self, cell, result, slews, loads) -> None:
+    def _add_sequential_arcs(self, cell, result, slew, load, node_loads) -> None:
         """Clock-to-Q arc approximated through the output stage chain."""
         out = cell.outputs[0]
         by_output = {s.output: s for s in cell.stages}
@@ -485,38 +535,20 @@ class AnalyticCharacterizer:
         refs = path[0].pull_down.variables()
         if refs and refs[0] in by_output:
             path.insert(0, by_output[refs[0]])
-        offset_stage = self.resistance_n(1) * self._node_load(cell, path[0].output)
-
-        def table(kind: str, rising: bool):
-            def fn(slew: float, load: float) -> float:
-                d, s, e = self._path_metrics(cell, path, rising, slew, load)
-                if kind == "delay":
-                    return d + 2.0 * LN2 * offset_stage
-                if kind == "slew":
-                    return s
-                return e + 4.0 * 0.5 * self._node_load(cell, path[0].output) * self.tech.vdd**2
-
-            return NLDMTable.from_function(slews, loads, fn)
-
+        offset_delay = 2.0 * LN2 * (self.resistance_n(1) * node_loads[path[0].output])
+        offset_energy = 4.0 * 0.5 * node_loads[path[0].output] * self.tech.vdd**2
+        edges = []
+        for rising in (True, False):
+            d, s, e = self._walk(path, rising, slew, load, node_loads)
+            edges.append((d + offset_delay, s, e + offset_energy))
+        clock = cell.clock_pin or "CLK"
         result.arcs.append(
-            TimingArc(
-                related_pin=cell.clock_pin or "CLK",
-                output_pin=out,
-                timing_sense="non_unate",
-                cell_rise=table("delay", True),
-                cell_fall=table("delay", False),
-                rise_transition=table("slew", True),
-                fall_transition=table("slew", False),
-                rise_power=table("energy", True),
-                fall_power=table("energy", False),
-                timing_type="rising_edge",
-            )
+            _arc(clock, out, "non_unate", slew, load, *edges, timing_type="rising_edge")
         )
 
     @staticmethod
-    def _support(cell: CellTemplate, output: str) -> set[str]:
-        """Input pins the output functionally depends on."""
-        table = cell.output_truth_table(output)
+    def _support(cell: CellTemplate, table: int) -> set[str]:
+        """Input pins the output whose truth table is ``table`` depends on."""
         n = len(cell.inputs)
         support = set()
         for j, pin in enumerate(cell.inputs):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .. import obs
 from ..resilience import faults
@@ -87,6 +86,9 @@ def calibrate(
 ) -> CalibrationResult:
     """Fit the compact model to measured sweeps.
 
+    ``scipy.optimize`` is imported on the first call, so importing the
+    device layer does not load it.
+
     Parameters
     ----------
     sweeps:
@@ -97,6 +99,8 @@ def calibrate(
         Starting parameter set (typically the published defaults for
         the technology).
     """
+    from scipy.optimize import least_squares
+
     if not sweeps:
         raise CalibrationError(
             "need at least one measurement sweep to calibrate",

@@ -1,5 +1,7 @@
 """Tests for the analytic characterization backend."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,18 @@ class TestPrimitives:
         c4 = char300.input_capacitance(make_inv(4), "A")
         assert c1 > 0.0
         assert c4 > 2.0 * c1
+
+
+class TestCharacterizerReuse:
+    def test_reused_characterizer_matches_fresh(self, monkeypatch):
+        """Per-cell state is not keyed by name: a second template with a
+        seen name gets its own node loads."""
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)  # healthy-path test
+        reused = AnalyticCharacterizer(TECH, 300.0)
+        reused.characterize_cell(make_inv(1))
+        renamed = dataclasses.replace(make_inv(4), name="INVx1")
+        fresh = AnalyticCharacterizer(TECH, 300.0).characterize_cell(renamed)
+        assert reused.characterize_cell(renamed) == fresh
 
 
 class TestArcSense:

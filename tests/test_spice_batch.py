@@ -462,6 +462,9 @@ class TestDefaultKernelSelection:
                 cache=False,
             )
         n_arcs = len(library.cells["NAND2x1"].arcs)
+        # The default SPICE grid: every third point of the 7-point axes.
+        table = library.cells["NAND2x1"].arcs[0].cell_rise
+        assert (table.slews, table.loads) == ((4e-12, 32e-12), (0.8e-15, 6.4e-15))
         assert tracer.counters.get("spice.batch.runs", 0) == n_arcs
         assert tracer.counters.get("spice.kernel.batch", 0) > 0
         assert tracer.counters.get("spice.kernel.vector", 0) == 0
