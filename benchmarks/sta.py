@@ -1,11 +1,9 @@
 """STA performance-trajectory runner.
 
-Times the levelized array timing graph
+Times full analysis on the levelized array timing graph
 (:class:`~repro.sta.graph.TimingGraph`) on the largest benchgen
-circuits at the default preset — one full-analysis section and two
-incremental sections (repeated sizing-style cost queries:
-``set_cell``/``update``/``max_delay`` on a compiled graph) — and writes
-one machine-readable ``BENCH_sta.json``.  CI's bench-regression job
+circuit at the default preset and writes one machine-readable
+``BENCH_sta.json``.  CI's bench-regression job
 (``benchmarks/regression.py``) runs it once per change together with
 ``benchmarks/kernels.py``, so the numbers form a trajectory across
 commits.
@@ -17,9 +15,7 @@ Usage (from the repository root)::
 
 Each section reports best-of-``repeats`` wall time as ``seconds``.
 Observability counters recorded during the run (``sta.*``) are
-embedded under ``"counters"``; the run fails if
-``sta.incremental_hits`` shows the incremental retime path never
-executed.
+embedded under ``"counters"``.
 
 See ``docs/PERFORMANCE.md`` for the schema and how to add a section.
 """
@@ -28,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 
@@ -47,11 +42,8 @@ def best_of(fn, repeats: int) -> float:
 # Shared fixtures.  The mapped circuits are expensive to build (seconds
 # each), so they are constructed once and shared across sections.
 
-#: Largest default-preset benchgen circuits by mapped gate count.
-CIRCUITS = ("sin", "hyp")
-
-#: Sizing-style cost queries per measurement.
-QUERIES = 40
+#: Largest default-preset benchgen circuit by mapped gate count.
+CIRCUITS = ("sin",)
 
 _fixtures: dict | None = None
 
@@ -70,34 +62,6 @@ def fixtures() -> dict:
             netlists[name] = map_to_gates(aig, library)
         _fixtures = {"library": library, "netlists": netlists}
     return _fixtures
-
-
-def _swap_schedule(netlist, library, count: int, seed: int = 7):
-    """Deterministic within-family cell swaps (same footprint and pin
-    order, so the graph takes its incremental path — exactly the edits
-    the gate sizer issues)."""
-    families: dict[tuple, list[str]] = {}
-    for name, cell in library.cells.items():
-        if cell.is_sequential:
-            continue
-        families.setdefault(
-            (cell.footprint, tuple(cell.input_pins)), []
-        ).append(name)
-    rng = random.Random(seed)
-    schedule = []
-    attempts = 0
-    while len(schedule) < count and attempts < 100 * count:
-        attempts += 1
-        gi = rng.randrange(netlist.num_gates)
-        cell = library[netlist.gates[gi].cell]
-        alternatives = [
-            c
-            for c in families[(cell.footprint, tuple(cell.input_pins))]
-            if c != cell.name
-        ]
-        if alternatives:
-            schedule.append((gi, rng.choice(alternatives)))
-    return schedule
 
 
 # ---------------------------------------------------------------------------
@@ -126,42 +90,8 @@ def bench_full(circuit: str, repeats: int) -> dict:
     }
 
 
-def bench_incremental(circuit: str, repeats: int) -> dict:
-    """Repeated sizing-style cost queries: one cell swap, then the new
-    worst delay; the graph re-times only the affected cone."""
-    from repro.sta.graph import TimingGraph
-
-    fix = fixtures()
-    netlist, library = fix["netlists"][circuit], fix["library"]
-    schedule = _swap_schedule(netlist, library, QUERIES)
-
-    graph = TimingGraph(netlist, library)
-    graph.analyze()
-    restore = [(gi, netlist.gates[gi].cell) for gi, _ in schedule]
-
-    def graph_queries():
-        for gi, cell in schedule:
-            graph.set_cell(gi, cell)
-            graph.update()
-            graph.max_delay()
-        for gi, cell in restore:
-            graph.set_cell(gi, cell)
-        graph.update()
-
-    return {
-        "seconds": best_of(graph_queries, repeats),
-        "detail": f"{circuit}/default ({netlist.num_gates} gates), "
-        f"{QUERIES} within-family swap + worst-delay queries, "
-        "incremental retime",
-    }
-
-
 SECTIONS = {
     "sta_full": lambda repeats: bench_full(CIRCUITS[0], repeats),
-    "sta_incremental": lambda repeats: bench_incremental(CIRCUITS[0], repeats),
-    "sta_incremental_hyp": lambda repeats: bench_incremental(
-        CIRCUITS[1], repeats
-    ),
 }
 
 
@@ -199,14 +129,6 @@ def main(argv=None) -> int:
     for name, entry in report["results"].items():
         print(f"[bench] {name}: {entry['seconds'] * 1e3:.1f} ms")
     print(f"[bench] wrote {args.output}")
-
-    if report["counters"].get("sta.incremental_hits", 0) <= 0:
-        print(
-            "[bench] FAIL: incremental retime path never executed "
-            "(sta.incremental_hits counter is 0)",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

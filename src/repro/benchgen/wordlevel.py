@@ -45,10 +45,6 @@ class WordBuilder:
         self._check(a, b)
         return [self.aig.add_and(x, y) for x, y in zip(a, b)]
 
-    def or_word(self, a: list[int], b: list[int]) -> list[int]:
-        self._check(a, b)
-        return [self.aig.add_or(x, y) for x, y in zip(a, b)]
-
     def xor_word(self, a: list[int], b: list[int]) -> list[int]:
         self._check(a, b)
         return [self.aig.add_xor(x, y) for x, y in zip(a, b)]
@@ -145,15 +141,6 @@ class WordBuilder:
             shifted = shifted[: len(a)]
             while len(shifted) < len(a):
                 shifted.append(CONST0)
-            current = self.mux_word(sel, shifted, current)
-        return current
-
-    def shift_right(self, a: list[int], amount: list[int]) -> list[int]:
-        current = list(a)
-        for stage, sel in enumerate(amount):
-            step = 1 << stage
-            shifted = current[step:] + [CONST0] * min(step, len(a))
-            shifted = shifted[: len(a)]
             current = self.mux_word(sel, shifted, current)
         return current
 

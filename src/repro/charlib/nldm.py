@@ -292,9 +292,6 @@ class Library:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def combinational_cells(self) -> list[LibertyCell]:
-        return [c for c in self.cells.values() if not c.is_sequential]
-
     def delay_distribution(self) -> np.ndarray:
         """Typical delay of every cell [s] (Fig. 2a data)."""
         return np.array([c.typical_delay() for c in self.cells.values() if c.arcs])

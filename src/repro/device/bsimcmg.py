@@ -333,44 +333,6 @@ class CryoFinFET:
             return float(result)
         return result
 
-    def ids_gm_gds(
-        self,
-        vgs: np.ndarray | float,
-        vds: np.ndarray | float,
-        temperature_k: float = T_REF,
-        dv: float = 1e-4,
-    ) -> tuple[np.ndarray | float, np.ndarray | float, np.ndarray | float]:
-        """Batched ``(I_ds, g_m, g_ds)`` evaluation in one model call.
-
-        The same five-point stencil the SPICE stampers
-        (:mod:`repro.spice.kernels`) evaluate through :func:`ids_core`:
-        all five bias points of the central-difference stencil for every
-        device are concatenated into a single :meth:`ids` evaluation, so
-        the per-call numpy dispatch overhead is paid once per device
-        *group* instead of five times per device.  The derivatives use the same ``dv`` stencil as
-        :meth:`gm`/:meth:`gds`, keeping the two paths differentially
-        comparable.
-        """
-        scalar_in = np.isscalar(vgs) and np.isscalar(vds)
-        vgs_arr, vds_arr = np.broadcast_arrays(
-            np.atleast_1d(np.asarray(vgs, dtype=float)),
-            np.atleast_1d(np.asarray(vds, dtype=float)),
-        )
-        n = vgs_arr.shape[0]
-        vg_stencil = np.concatenate(
-            [vgs_arr, vgs_arr + dv, vgs_arr - dv, vgs_arr, vgs_arr]
-        )
-        vd_stencil = np.concatenate(
-            [vds_arr, vds_arr, vds_arr, vds_arr + dv, vds_arr - dv]
-        )
-        i = np.asarray(self.ids(vg_stencil, vd_stencil, temperature_k))
-        ids = i[:n]
-        gm = (i[n : 2 * n] - i[2 * n : 3 * n]) / (2.0 * dv)
-        gds = (i[3 * n : 4 * n] - i[4 * n : 5 * n]) / (2.0 * dv)
-        if scalar_in:
-            return float(ids[0]), float(gm[0]), float(gds[0])
-        return ids, gm, gds
-
     # ------------------------------------------------------------------
     # Charge / capacitance
     # ------------------------------------------------------------------

@@ -1,19 +1,14 @@
-"""Interchange formats: AIGER (ascii/binary), BLIF, structural Verilog."""
+"""Interchange formats: AIGER (ascii/binary), BLIF and structural Verilog writers."""
 
 from .aiger import parse_ascii, parse_binary, write_ascii, write_binary
-from .blif import parse_blif, write_blif
-from .verilog import parse_verilog, write_verilog
-from .dot import aig_to_dot, netlist_to_dot
+from .blif import write_blif
+from .verilog import write_verilog
 
 __all__ = [
     "parse_ascii",
     "parse_binary",
     "write_ascii",
     "write_binary",
-    "parse_blif",
     "write_blif",
-    "aig_to_dot",
-    "netlist_to_dot",
-    "parse_verilog",
     "write_verilog",
 ]

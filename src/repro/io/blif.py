@@ -1,13 +1,13 @@
-"""BLIF reader/writer for LUT networks.
+"""BLIF writer for LUT networks.
 
 The Berkeley Logic Interchange Format is how LUT-level netlists move
 between academic tools.  ``.names`` tables are written as minimized
-cube covers (via ISOP) and read back into truth tables.
+cube covers (via ISOP).
 """
 
 from __future__ import annotations
 
-from ..synth.isop import Cube, cover_to_tt, isop
+from ..synth.isop import isop
 from ..synth.lutnet import LUTNetwork
 from ..synth.truth import tt_mask
 
@@ -59,85 +59,3 @@ def write_blif(network: LUTNetwork, model: str | None = None) -> str:
         lines.append(("0" if compl else "1") + " 1")
     lines.append(".end")
     return "\n".join(lines) + "\n"
-
-
-def parse_blif(text: str) -> LUTNetwork:
-    """Parse a (single-model, combinational) BLIF file."""
-    # Join continuation lines and strip comments.
-    raw_lines = []
-    pending = ""
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].rstrip()
-        if not line:
-            continue
-        if line.endswith("\\"):
-            pending += line[:-1] + " "
-            continue
-        raw_lines.append(pending + line)
-        pending = ""
-    if pending:
-        raw_lines.append(pending)
-
-    model = "blif"
-    inputs: list[str] = []
-    outputs: list[str] = []
-    tables: list[tuple[list[str], str, list[str]]] = []  # (ins, out, cubes)
-    current: tuple[list[str], str, list[str]] | None = None
-
-    for line in raw_lines:
-        tokens = line.split()
-        if tokens[0] == ".model":
-            model = tokens[1] if len(tokens) > 1 else model
-        elif tokens[0] == ".inputs":
-            inputs.extend(tokens[1:])
-        elif tokens[0] == ".outputs":
-            outputs.extend(tokens[1:])
-        elif tokens[0] == ".names":
-            current = (tokens[1:-1], tokens[-1], [])
-            tables.append(current)
-        elif tokens[0] == ".end":
-            current = None
-        elif tokens[0].startswith("."):
-            raise ValueError(f"unsupported BLIF construct {tokens[0]!r}")
-        else:
-            if current is None:
-                raise ValueError(f"cube line outside .names: {line!r}")
-            current[2].append(line)
-
-    network = LUTNetwork(len(inputs), name=model)
-    network.pi_names = list(inputs)
-    node_of: dict[str, int] = {name: i + 1 for i, name in enumerate(inputs)}
-
-    for ins, out, cube_lines in tables:
-        k = len(ins)
-        table = 0
-        for cube_line in cube_lines:
-            parts = cube_line.split()
-            if len(parts) == 1:
-                pattern, value = "", parts[0]
-            else:
-                pattern, value = parts[0], parts[1]
-            if value != "1":
-                raise ValueError("only on-set (output 1) cubes are supported")
-            pos = neg = 0
-            for v, ch in enumerate(pattern):
-                if ch == "1":
-                    pos |= 1 << v
-                elif ch == "0":
-                    neg |= 1 << v
-                elif ch != "-":
-                    raise ValueError(f"bad cube character {ch!r}")
-            table |= _cube_tt(pos, neg, k)
-        leaf_ids = tuple(node_of[name] for name in ins)
-        node_of[out] = network.add_lut(leaf_ids, table)
-
-    for name in outputs:
-        if name not in node_of:
-            raise ValueError(f"output {name!r} is never defined")
-        network.outputs.append((node_of[name], False))
-        network.po_names.append(name)
-    return network
-
-
-def _cube_tt(pos: int, neg: int, k: int) -> int:
-    return cover_to_tt([Cube(pos, neg)], k)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from ..mapping.netlist import GateInstance, MappedNetlist
+from ..mapping.netlist import MappedNetlist
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
 
@@ -25,37 +25,59 @@ def _sanitize(name: str) -> str:
 
 
 def write_verilog(netlist: MappedNetlist, module: str | None = None) -> str:
-    """Serialize a mapped netlist to structural Verilog."""
+    """Serialize a mapped netlist to structural Verilog.
+
+    A PO whose net is a PI or an earlier PO gets an output port of its
+    own, named so it collides with no other name and driven by
+    ``assign``; every other port is named after its net.
+    """
     module_name = _sanitize(module or netlist.name or "top")
     rename: dict[str, str] = {}
     used: set[str] = set()
 
-    def net(name: str) -> str:
-        if name in rename:
-            return rename[name]
-        candidate = _sanitize(name)
-        base = candidate
+    def fresh(name: str) -> str:
+        candidate = base = _sanitize(name)
         suffix = 1
         while candidate in used:
             candidate = f"{base}_{suffix}"
             suffix += 1
         used.add(candidate)
-        rename[name] = candidate
         return candidate
 
-    pis = [net(n) for n in netlist.pi_nets]
-    pos = [net(n) for n in netlist.po_nets]
+    def net(name: str) -> str:
+        if name not in rename:
+            rename[name] = fresh(name)
+        return rename[name]
 
-    lines = [f"module {module_name} ("]
-    ports = [f"  input  {p}" for p in pis] + [f"  output {p}" for p in pos]
-    lines.append(",\n".join(ports))
-    lines.append(");")
+    pis = [net(n) for n in netlist.pi_nets]
+    seen = set(netlist.pi_nets)
+    pos: list[str | None] = []  # None: an alias port, named below
+    for n in netlist.po_nets:
+        pos.append(None if n in seen else net(n))
+        seen.add(n)
 
     internal = []
     for gate in netlist.gates:
         name = net(gate.output_net)
         if name not in pis and name not in pos:
             internal.append(name)
+    for gate in netlist.gates:
+        for source in gate.pins.values():
+            net(source)
+
+    # Alias ports are named last, clear of every net and instance name.
+    used.update(_sanitize(gate.name) for gate in netlist.gates)
+    aliases = []
+    for index, n in enumerate(netlist.po_nets):
+        if pos[index] is None:
+            pos[index] = fresh(n)
+            aliases.append((pos[index], net(n)))
+
+    lines = [f"module {module_name} ("]
+    ports = [f"  input  {p}" for p in pis] + [f"  output {p}" for p in pos]
+    lines.append(",\n".join(ports))
+    lines.append(");")
+
     for chunk_start in range(0, len(internal), 10):
         chunk = internal[chunk_start : chunk_start + 10]
         lines.append("  wire " + ", ".join(chunk) + ";")
@@ -65,112 +87,7 @@ def write_verilog(netlist: MappedNetlist, module: str | None = None) -> str:
         connections.append(f".{gate.output_pin}({net(gate.output_net)})")
         lines.append(f"  {gate.cell} {_sanitize(gate.name)} ({', '.join(connections)});")
 
-    # PO aliases when an output net is also an internal/PI net name.
+    for port, source in aliases:
+        lines.append(f"  assign {port} = {source};")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# Reading
-# ----------------------------------------------------------------------
-_TOKEN_RE = re.compile(r"[A-Za-z_][\w$]*|[().,;]")
-
-
-def parse_verilog(text: str) -> MappedNetlist:
-    """Parse a flat structural Verilog module into a mapped netlist.
-
-    Supports the subset this package writes (and that gate-level
-    netlists from synthesis tools commonly use): one module,
-    input/output/wire declarations, and cell instances with named port
-    connections.  The output pin of an instance is recognized as the
-    port driving a net not driven elsewhere; by convention (and in our
-    writer) it is the *last* connection of the instance.
-    """
-    # Strip comments.
-    text = re.sub(r"//[^\n]*", "", text)
-    text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
-    tokens = _TOKEN_RE.findall(text)
-    pos = 0
-
-    def expect(value: str) -> None:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != value:
-            found = tokens[pos] if pos < len(tokens) else "<eof>"
-            raise ValueError(f"expected {value!r}, found {found!r}")
-        pos += 1
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of file")
-        token = tokens[pos]
-        pos += 1
-        return token
-
-    expect("module")
-    name = take()
-    netlist = MappedNetlist(name)
-
-    # Port list: (input a, output b, ...) or plain names.
-    if tokens[pos] == "(":
-        pos += 1
-        direction = None
-        while tokens[pos] != ")":
-            token = take()
-            if token in ("input", "output", "wire", ","):
-                if token in ("input", "output"):
-                    direction = token
-                continue
-            if direction == "input":
-                netlist.pi_nets.append(token)
-            elif direction == "output":
-                netlist.po_nets.append(token)
-        pos += 1  # ')'
-    expect(";")
-
-    while pos < len(tokens) and tokens[pos] != "endmodule":
-        token = take()
-        if token in ("input", "output", "wire"):
-            while tokens[pos] != ";":
-                net = take()
-                if net == ",":
-                    continue
-                if token == "input" and net not in netlist.pi_nets:
-                    netlist.pi_nets.append(net)
-                elif token == "output" and net not in netlist.po_nets:
-                    netlist.po_nets.append(net)
-            pos += 1
-            continue
-        # Cell instance: CELL name ( .pin(net), ... );
-        cell_name = token
-        instance = take()
-        expect("(")
-        connections: list[tuple[str, str]] = []
-        while tokens[pos] != ")":
-            if tokens[pos] == ",":
-                pos += 1
-                continue
-            expect(".")
-            pin = take()
-            expect("(")
-            net = take()
-            expect(")")
-            connections.append((pin, net))
-        pos += 1  # ')'
-        expect(";")
-        if not connections:
-            raise ValueError(f"instance {instance!r} has no connections")
-        output_pin, output_net = connections[-1]
-        pins = dict(connections[:-1])
-        netlist.gates.append(
-            GateInstance(
-                name=instance,
-                cell=cell_name,
-                pins=pins,
-                output_net=output_net,
-                output_pin=output_pin,
-            )
-        )
-    if pos >= len(tokens):
-        raise ValueError("missing endmodule")
-    return netlist

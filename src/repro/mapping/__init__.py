@@ -5,7 +5,6 @@ from .cost import CostPolicy, all_orderings, baseline_power_aware, p_a_d, p_d_a
 from .library import CellFamily, MatchConfig, TechLibraryView
 from .netlist import GateInstance, MappedNetlist
 from .techmap import TechnologyMapper, map_to_gates
-from .sizing import SizingReport, size_gates
 
 __all__ = [
     "CostPolicy",
@@ -20,6 +19,4 @@ __all__ = [
     "MappedNetlist",
     "TechnologyMapper",
     "map_to_gates",
-    "SizingReport",
-    "size_gates",
 ]

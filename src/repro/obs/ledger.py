@@ -76,8 +76,8 @@ _COUNTER_PREFIXES = (
     # Trajectory-batch telemetry: batch widths and lockstep-vs-instance
     # step counts, so ledger records show how much batching the run got.
     "spice.batch.",
-    # STA engine health: incremental-vs-full retime mix and query
-    # volume, so ``repro ledger compare`` surfaces timing-path drift.
+    # STA engine health: graph builds and query volume, so
+    # ``repro ledger compare`` surfaces timing-path drift.
     "sta.",
     # SAT sweeping: solver calls vs. counterexample refutations per
     # pass (one emission each), so drift in solver work shows.

@@ -104,11 +104,6 @@ def instance_scope(label: str) -> Iterator[str]:
         _instance_var.reset(token)
 
 
-def current_instance() -> str | None:
-    """The ambient instance label, if any."""
-    return _instance_var.get()
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """Injection behavior for one site.

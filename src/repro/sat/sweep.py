@@ -1,11 +1,10 @@
 """SAT sweeping: one incremental proof engine per network.
 
 Resubstitution and structural choices ask one question many times over
-one network: is node ``n`` equal to a literal, or to the AND of two
-literals?  :class:`SweepEngine` answers it the way the FRAIG recipe
-behind ABC's ``resub``, ``dch`` and ``cec`` does (Mishchenko et al.,
-"FRAIGs: A Unifying Representation for Logic Synthesis and
-Verification", 2005):
+one network: is node ``n`` equal to a literal?  :class:`SweepEngine`
+answers it the way the FRAIG recipe behind ABC's ``resub``, ``dch`` and
+``cec`` does (Mishchenko et al., "FRAIGs: A Unifying Representation for
+Logic Synthesis and Verification", 2005):
 
 * one incremental :class:`~repro.sat.solver.Solver` serves every query
   on the network;
@@ -70,22 +69,6 @@ class SweepEngine:
             self.sim_refuted += 1
             return False
         return self._differs_unsat(self._lit(node << 1), self._lit(lit))
-
-    def equal_and(self, node: int, lit_a: int, lit_b: int) -> bool:
-        """Prove ``node == lit_a & lit_b``.  False on refute/timeout."""
-        sig, mask = self._sig, self._mask
-        word_a = sig[lit_a >> 1] ^ (mask if lit_a & 1 else 0)
-        word_b = sig[lit_b >> 1] ^ (mask if lit_b & 1 else 0)
-        if sig[node] != word_a & word_b:
-            self.sim_refuted += 1
-            return False
-        a, b = self._lit(lit_a), self._lit(lit_b)
-        solver = self.solver
-        t = solver.new_var()
-        solver.add_clause([-t, a])
-        solver.add_clause([-t, b])
-        solver.add_clause([t, -a, -b])
-        return self._differs_unsat(self._lit(node << 1), t)
 
     # ------------------------------------------------------------------
     def _differs_unsat(self, a: int, b: int) -> bool:

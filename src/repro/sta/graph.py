@@ -1,28 +1,18 @@
-"""Array-based levelized timing graph with incremental retiming.
+"""Array-based levelized timing graph.
 
-Walking python dicts gate by gate and re-running a *full* netlist
-propagation for every query is what blocks EPFL-scale mapping sweeps,
-where sizing and cost evaluation issue thousands of timing queries
-against nearly identical netlists.  :class:`TimingGraph` compiles a
+Walking python dicts gate by gate costs an interpreter round trip per
+timing arc.  :class:`TimingGraph` instead compiles a
 :class:`~repro.mapping.netlist.MappedNetlist` + characterized
-:class:`~repro.charlib.nldm.Library` **once** into flat NumPy state:
+:class:`~repro.charlib.nldm.Library` into flat NumPy state:
 
-* CSR-style fanin/fanout index arrays (net ids, per-gate arc slices,
-  per-net sink slices, driver map);
+* CSR-style index arrays (net ids, per-gate arc slices, gate-major
+  sink pins, driver map);
 * per-level gate batches (every gate at topological level *L* is timed
   in one vectorized step once level *L−1* settled);
 * packed NLDM tables (:class:`~repro.sta.interp.PackedTables`) for the
   whole library, looked up through the batched bilinear kernel.
 
-On top of the compiled graph, :meth:`retime` provides **incremental
-STA**: :meth:`set_cell` records a drive-strength swap, and the next
-retime re-propagates only the downstream cone of the changed gates plus
-the upstream load-change ripple (a resized gate changes the pin
-capacitance its fanin drivers see).  Propagation stops as soon as a
-recomputed gate reproduces its previous arrival *and* slew exactly, so
-a ``retime`` is bit-identical to an analysis from scratch — the
-invariant ``tests/test_sta_graph.py`` checks over randomized edit
-sequences.
+:meth:`TimingGraph.analyze` is one full propagation over that state.
 
 Every elementwise operation replays the arithmetic of the per-gate
 dict propagation in the same order, so graph reports agree bit-for-bit
@@ -42,21 +32,21 @@ from .interp import PackedTables
 
 __all__ = ["TimingGraph"]
 
-#: At or below this many arcs per batch, scalar per-arc evaluation
+#: At or below this many arcs per level, scalar per-arc evaluation
 #: beats the vectorized kernel's fixed NumPy call overhead (both are
 #: bit-identical, so the crossover is purely a speed knob; measured
-#: optimum on the benchgen suite).
+#: optimum on the benchgen suite, where deep narrow circuits such as
+#: ``max`` have most of their levels at or below it).
 _SCALAR_CUTOFF = 4
 
 
 class TimingGraph:
     """Levelized vectorized STA engine over a mapped netlist.
 
-    The graph snapshots the netlist *structure* (gates, pins, nets) at
-    construction; only cell assignments may change afterwards, through
-    :meth:`set_cell` (or :meth:`sync` against a structurally identical
-    netlist).  Arrival/slew/load state lives in flat float64 arrays
-    indexed by interned net id.
+    The graph snapshots the netlist (gates, cells, pins, nets) at
+    construction; a netlist edited afterwards needs a new graph.
+    Arrival/slew/load state lives in flat float64 arrays indexed by
+    interned net id.
     """
 
     def __init__(self, netlist: MappedNetlist, library: Library, config=None):
@@ -110,12 +100,10 @@ class TimingGraph:
         N = len(names)
         self._num_nets = N
         self._sorted_net_ids = sorted(range(N), key=names.__getitem__)
-        self._num_pis = len(netlist.pi_nets)
 
         # --- primary outputs ---------------------------------------------
         self._po_ids = [net_id[n] for n in netlist.po_nets if n in net_id]
-        self._po_set = set(self._po_ids)
-        self._po_unique = np.array(sorted(self._po_set), dtype=np.intp)
+        self._po_unique = np.array(sorted(set(self._po_ids)), dtype=np.intp)
 
         # --- drivers and levels ------------------------------------------
         driver_of = np.full(N, -1, dtype=np.intp)
@@ -131,7 +119,6 @@ class TimingGraph:
             net_level[gate_out[gi]] = lvl
             driver_of[gate_out[gi]] = gi
         self._driver_of = driver_of
-        self._gate_level = gate_level
         max_level = int(gate_level.max()) if G else 0
         self._levels: list[np.ndarray] = [
             np.array([], dtype=np.intp) for _ in range(max_level + 1)
@@ -147,40 +134,17 @@ class TimingGraph:
         # iteration, so per-net capacitance accumulation happens in the
         # exact same float-addition sequence as the reference engine.
         sink_net: list[int] = []
-        sink_pin: list[str] = []
-        sink_gate: list[int] = []
-        gate_sink_start = np.empty(G + 1, dtype=np.intp)
-        for gi in range(G):
-            gate_sink_start[gi] = len(sink_net)
-            for pin, nid in self._gate_pins[gi]:
-                sink_net.append(nid)
-                sink_pin.append(pin)
-                sink_gate.append(gi)
-        gate_sink_start[G] = len(sink_net)
-        self._sink_net = np.array(sink_net, dtype=np.intp)
-        self._sink_pin = sink_pin
-        self._gate_sink_start = gate_sink_start
-        self._sink_cap = np.empty(len(sink_net), dtype=float)
+        sink_cap: list[float] = []
         for gi in range(G):
             caps = self._cells[gi].input_caps
-            for pos in range(gate_sink_start[gi], gate_sink_start[gi + 1]):
-                self._sink_cap[pos] = caps.get(sink_pin[pos], 0.0)
-
-        net_sinks: list[list[int]] = [[] for _ in range(N)]
-        for pos, nid in enumerate(sink_net):
-            net_sinks[nid].append(pos)
-        self._net_sinks = [np.array(p, dtype=np.intp) for p in net_sinks]
-        self._net_fanout = np.array([len(p) for p in net_sinks], dtype=float)
-        sink_gates: list[list[int]] = [[] for _ in range(N)]
-        for pos, nid in enumerate(sink_net):
-            gi = sink_gate[pos]
-            if not sink_gates[nid] or sink_gates[nid][-1] != gi:
-                sink_gates[nid].append(gi)
-        self._net_sink_gates = sink_gates
+            for pin, nid in self._gate_pins[gi]:
+                sink_net.append(nid)
+                sink_cap.append(caps.get(pin, 0.0))
+        self._sink_net = np.array(sink_net, dtype=np.intp)
+        self._sink_cap = np.array(sink_cap, dtype=float)
+        self._net_fanout = np.bincount(self._sink_net, minlength=N).astype(float)
 
         # --- packed NLDM tables for the whole library --------------------
-        # Packing every cell (not just the mapped ones) makes any
-        # within-family drive-strength swap a pure index update.
         self._tables = PackedTables()
         self._arc_tids: dict[tuple[str, str, str], tuple[int, int, int, int]] = {}
         for cell in library.cells.values():
@@ -195,24 +159,12 @@ class TimingGraph:
 
         self._build_arcs()
 
-        # --- mutable analysis state --------------------------------------
-        self._load: np.ndarray | None = None
-        self._arr: np.ndarray | None = None
-        self._slew: np.ndarray | None = None
-        self._from_arc: np.ndarray | None = None
-        self._report = None
-        self._pending: set[int] = set()
-        self._dirty_load_nets: set[int] = set()
-        self._needs_rebuild = False
-
     def _build_arcs(self) -> None:
-        """(Re)build the level-ordered arc arrays from current cells."""
+        """Build the level-ordered arc arrays."""
         G = len(self._cells)
         arc_src: list[int] = []
         arc_gate: list[int] = []
-        arc_pin: list[str] = []
         arc_tid: list[tuple[int, int, int, int]] = []
-        gate_arc_start = np.zeros(G + 1, dtype=np.intp)
         order = [gi for level in self._levels for gi in level]
         start_of = np.zeros(G, dtype=np.intp)
         end_of = np.zeros(G, dtype=np.intp)
@@ -226,10 +178,8 @@ class TimingGraph:
                     continue  # non-controlling pin (no arc)
                 arc_src.append(nid)
                 arc_gate.append(gi)
-                arc_pin.append(pin)
                 arc_tid.append(tids)
             end_of[gi] = len(arc_src)
-        gate_arc_start[:G] = start_of
         self._arc_src = np.array(arc_src, dtype=np.intp)
         self._arc_gate = np.array(arc_gate, dtype=np.intp)
         self._arc_out_net = (
@@ -237,7 +187,6 @@ class TimingGraph:
             if arc_gate
             else np.empty(0, dtype=np.intp)
         )
-        self._arc_pin = arc_pin
         self._arc_tid = (
             np.array(arc_tid, dtype=np.intp)
             if arc_tid
@@ -261,25 +210,13 @@ class TimingGraph:
         load[self._po_unique] += cfg.output_load
         return load
 
-    def _compute_one_load(self, nid: int) -> float:
-        cfg = self.config
-        positions = self._net_sinks[nid]
-        total = np.float64(
-            cfg.wire_cap_base + cfg.wire_cap_per_fanout * len(positions)
-        )
-        for pos in positions:
-            total = total + self._sink_cap[pos]
-        if nid in self._po_set:
-            total = total + cfg.output_load
-        return float(total)
-
     # ------------------------------------------------------------------
     # Vectorized gate evaluation
     # ------------------------------------------------------------------
     def _eval_gates(
         self, gates: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Re-time ``gates`` against current arrival/slew/load state.
+        """Time ``gates`` against current arrival/slew/load state.
 
         Returns ``(arrival, slew, from_arc)`` aligned with ``gates``;
         ``from_arc`` is a global arc index or ``-1``.
@@ -300,9 +237,10 @@ class TimingGraph:
         counts_h = counts[has]
         total = int(counts_h.sum())
         if total <= _SCALAR_CUTOFF:
-            # Tiny batch (a narrow retime cone level): per-call NumPy
-            # overhead dwarfs the work, so evaluate arc-by-arc — the
-            # scalar lookup is bit-identical to the batched kernel.
+            # Narrow level (most levels of a deep, narrow circuit):
+            # per-call NumPy overhead dwarfs the work, so evaluate
+            # arc-by-arc — the scalar lookup is bit-identical to the
+            # batched kernel.
             self._eval_gates_scalar(gates, starts, ends, arr_out, slew_out, from_out)
             return arr_out, slew_out, from_out
         offsets = np.concatenate(([0], np.cumsum(counts_h)[:-1]))
@@ -376,30 +314,20 @@ class TimingGraph:
             slew_out[k] = best_slew
             from_out[k] = best_arc
 
-    def _apply(self, gates: np.ndarray) -> np.ndarray:
-        """Evaluate ``gates``, commit results, return changed mask."""
+    def _apply(self, gates: np.ndarray) -> None:
+        """Evaluate ``gates`` and commit the results."""
         arr, slw, frm = self._eval_gates(gates)
         out_nets = self._gate_out[gates]
-        changed = (arr != self._arr[out_nets]) | (slw != self._slew[out_nets])
         self._arr[out_nets] = arr
         self._slew[out_nets] = slw
         self._from_arc[gates] = frm
-        return changed
 
     # ------------------------------------------------------------------
-    # Full analysis
+    # Analysis
     # ------------------------------------------------------------------
     def analyze(self):
         """Full propagation from scratch; returns a TimingReport."""
-        self._full_update()
-        return self.report()
-
-    def _full_update(self) -> None:
-        """Full propagation from scratch (state only, no report)."""
         cfg = self.config
-        if self._needs_rebuild:
-            self._build_arcs()
-            self._needs_rebuild = False
         self._load = self._compute_all_loads()
         self._arr = np.zeros(self._num_nets, dtype=float)
         self._slew = np.full(self._num_nets, cfg.input_slew, dtype=float)
@@ -407,160 +335,15 @@ class TimingGraph:
         for gates in self._levels[1:]:
             if len(gates):
                 self._apply(gates)
-        self._pending.clear()
-        self._dirty_load_nets.clear()
-        self._report = None
         if obs.current_tracer() is not None:
             obs.count("sta.timing_queries")
-            obs.count("sta.full_retimes")
             obs.count("sta.arc_lookups", self.num_arcs)
             obs.count("sta.gates_analyzed", len(self._cells))
-
-    # ------------------------------------------------------------------
-    # Incremental editing
-    # ------------------------------------------------------------------
-    def set_cell(self, gate_index: int, cell_name: str) -> None:
-        """Swap one gate's cell (same pin structure) for the next retime.
-
-        A swap whose timing-arc pin sequence differs from the old
-        cell's forces a full arc rebuild on the next (re)analysis; the
-        common within-family case is a pure table-index update.
-        """
-        new = self.library[cell_name]
-        old = self._cells[gate_index]
-        if new is old:
-            return
-        out_pin = self._gate_output_pin[gate_index]
-        new_arcs = [
-            (pin, self._arc_tids[(new.name, pin, out_pin)])
-            for pin, _ in self._gate_pins[gate_index]
-            if (new.name, pin, out_pin) in self._arc_tids
-        ]
-        start = self._gate_arc_start[gate_index]
-        end = self._gate_arc_end[gate_index]
-        if [pin for pin, _ in new_arcs] != self._arc_pin[start:end]:
-            self._needs_rebuild = True
-        else:
-            for k, (_, tids) in enumerate(new_arcs):
-                self._arc_tid[start + k] = tids
-        # Pin-capacitance ripple: the loads of this gate's input nets
-        # change, which re-times their *drivers*.
-        new_caps = new.input_caps
-        sink_start = self._gate_sink_start[gate_index]
-        for offset, (pin, nid) in enumerate(self._gate_pins[gate_index]):
-            cap = new_caps.get(pin, 0.0)
-            pos = sink_start + offset
-            if self._sink_cap[pos] != cap:
-                self._sink_cap[pos] = cap
-                self._dirty_load_nets.add(int(nid))
-        self._cells[gate_index] = new
-        self._pending.add(int(gate_index))
-        self._report = None
-
-    def sync(self, netlist: MappedNetlist) -> bool:
-        """Absorb external cell edits from a structurally identical
-        netlist (same gates/pins/nets); returns False — triggering a
-        full recompile — when the structure no longer matches."""
-        gates = netlist.gates
-        if len(gates) != len(self._cells):
-            return False
-        for gi, gate in enumerate(gates):
-            if gate.name != self._gate_names[gi]:
-                return False
-            if gate.cell != self._cells[gi].name:
-                if len(gate.pins) != len(self._gate_pins[gi]):
-                    return False
-                self.set_cell(gi, gate.cell)
-        return True
-
-    def retime(self, changed_gates=None):
-        """Incrementally re-time pending edits; returns a TimingReport.
-
-        Falls back to a full analysis on the first call (or after a
-        structural change).  Exact by construction: propagation only
-        stops at gates whose recomputed arrival *and* slew match their
-        previous values bit-for-bit.
-        """
-        self.update(changed_gates)
-        return self.report()
-
-    def update(self, changed_gates=None) -> None:
-        """Incrementally propagate pending edits (state only).
-
-        Cheap-query form of :meth:`retime` for cost loops that only
-        need :meth:`max_delay`/:meth:`net_arrival` afterwards — no
-        per-net report dicts are materialized.
-        """
-        if changed_gates is not None:
-            for gi in changed_gates:
-                self._pending.add(int(gi))
-        if self._arr is None or self._needs_rebuild:
-            self._full_update()
-            return
-        if obs.current_tracer() is not None:
-            obs.count("sta.timing_queries")
-        if not self._pending and not self._dirty_load_nets:
-            return
-
-        dirty: set[int] = set(self._pending)
-        for nid in sorted(self._dirty_load_nets):
-            new_load = self._compute_one_load(nid)
-            if new_load != self._load[nid]:
-                self._load[nid] = new_load
-                driver = int(self._driver_of[nid])
-                if driver >= 0:
-                    dirty.add(driver)
-
-        buckets: dict[int, set[int]] = {}
-        for gi in dirty:
-            buckets.setdefault(int(self._gate_level[gi]), set()).add(gi)
-        cone = 0
-        while buckets:
-            lvl = min(buckets)
-            gates = np.array(sorted(buckets.pop(lvl)), dtype=np.intp)
-            cone += len(gates)
-            changed = self._apply(gates)
-            for gi in gates[changed]:
-                out_net = int(self._gate_out[gi])
-                for sink in self._net_sink_gates[out_net]:
-                    buckets.setdefault(int(self._gate_level[sink]), set()).add(sink)
-        self._pending.clear()
-        self._dirty_load_nets.clear()
-        self._report = None
-        if obs.current_tracer() is not None:
-            obs.count("sta.incremental_hits")
-            obs.observe("sta.retime_cone_size", cone)
+        return self._report()
 
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def _require_state(self) -> None:
-        if self._arr is None:
-            raise RuntimeError("run analyze() or retime() first")
-
-    def net_arrival(self, net: str, default: float = 0.0) -> float:
-        self._require_state()
-        nid = self._net_id.get(net)
-        return float(self._arr[nid]) if nid is not None else default
-
-    def net_slew(self, net: str, default: float | None = None) -> float:
-        self._require_state()
-        nid = self._net_id.get(net)
-        if nid is None:
-            return self.config.input_slew if default is None else default
-        return float(self._slew[nid])
-
-    def net_load(self, net: str, default: float = 0.0) -> float:
-        self._require_state()
-        nid = self._net_id.get(net)
-        return float(self._load[nid]) if nid is not None else default
-
-    def max_delay(self) -> float:
-        self._require_state()
-        if not self._po_ids:
-            return 0.0
-        return float(self._arr[self._worst_po()])
-
     def _worst_po(self) -> int:
         worst = self._po_ids[0]
         for nid in self._po_ids[1:]:
@@ -587,30 +370,21 @@ class TimingGraph:
         path.reverse()
         return path
 
-    def net_loads_dict(self) -> dict[str, float]:
-        """``net -> load [F]`` in sorted-net order (as the reference engine)."""
-        if self._load is None:
-            self._load = self._compute_all_loads()
-        load = self._load
-        names = self._net_names
-        return {names[i]: float(load[i]) for i in self._sorted_net_ids}
-
-    def report(self):
-        """Materialize the current state as a TimingReport."""
+    def _report(self):
+        """Materialize the analyzed state as a TimingReport."""
         from .timing import TimingReport
 
-        if self._report is not None:
-            return self._report
-        self._require_state()
         names = self._net_names
         arr = self._arr
         slw = self._slew
+        load = self._load
         arrival = {names[i]: float(arr[i]) for i in range(self._num_nets)}
         slew = {names[i]: float(slw[i]) for i in range(self._num_nets)}
         report = TimingReport(
             arrival=arrival,
             slew=slew,
-            net_load=self.net_loads_dict(),
+            # Sorted-net order, as the reference engine.
+            net_load={names[i]: float(load[i]) for i in self._sorted_net_ids},
         )
         if self._po_ids:
             worst = self._worst_po()
@@ -620,5 +394,4 @@ class TimingGraph:
             net: (float(arr[self._net_id[net]]) if net in self._net_id else 0.0)
             for net in self.netlist.po_nets
         }
-        self._report = report
         return report

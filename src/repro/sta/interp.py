@@ -50,7 +50,7 @@ def bilinear_many(
     sa = slew_axes[rows]  # (n, S)
     la = load_axes[rows]  # (n, L)
     # min(max(...)) is np.clip's definition, minus its wrapper overhead
-    # (this runs on every timing arc of every retime batch).
+    # (this runs on every timing arc of every batched level).
     s = np.minimum(np.maximum(slews, sa[:, 0]), sa[:, -1])
     l = np.minimum(np.maximum(loads, la[:, 0]), la[:, -1])
     # ``bisect_right(axis, x) - 1`` == number of grid points <= x,
@@ -96,12 +96,6 @@ class PackedTables:
     def table(self, tid: int) -> NLDMTable:
         """The interned table behind ``tid`` (for scalar fallbacks)."""
         return self._tables[tid]
-
-    @property
-    def num_groups(self) -> int:
-        if self._groups is None:
-            raise RuntimeError("PackedTables not finalized")
-        return len(self._groups)
 
     def add(self, table: NLDMTable) -> int:
         """Intern ``table`` and return its stable id."""

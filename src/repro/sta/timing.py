@@ -7,10 +7,9 @@ extraction.  All values SI (seconds, farads).
 
 :class:`StaticTimingAnalyzer` runs on the array-based levelized
 :class:`~repro.sta.graph.TimingGraph`, vectorized over whole levels of
-timing arcs and able to retime incrementally after cell swaps.  The
-original per-gate dict propagation is kept as a test oracle
-(``tests/oracles/sta_reference.py``); ``tests/test_sta_graph.py`` pins
-the two bit-for-bit.
+timing arcs.  The original per-gate dict propagation is kept as a test
+oracle (``tests/oracles/sta_reference.py``); ``tests/test_sta_graph.py``
+pins the two bit-for-bit.
 """
 
 from __future__ import annotations
@@ -60,9 +59,10 @@ class TimingReport:
 class StaticTimingAnalyzer:
     """NLDM-based STA for combinational mapped netlists.
 
-    The timing graph is compiled on first use and kept across
-    ``analyze()`` calls, so repeated analyses of an in-place
-    cell-edited netlist retime incrementally.
+    Each ``analyze()`` compiles the netlist as it stands into a fresh
+    :class:`~repro.sta.graph.TimingGraph` and runs one full analysis,
+    so a netlist edited between calls is never timed against a stale
+    compile.
     """
 
     def __init__(
@@ -74,7 +74,6 @@ class StaticTimingAnalyzer:
         self.netlist = netlist
         self.library = library
         self.config = config or SignoffConfig()
-        self._graph = None
 
     @classmethod
     def from_context(cls, context, netlist: MappedNetlist) -> "StaticTimingAnalyzer":
@@ -83,30 +82,11 @@ class StaticTimingAnalyzer:
         return cls(netlist, context.library, context.signoff)
 
     # ------------------------------------------------------------------
-    @property
-    def graph(self):
-        """The compiled :class:`~repro.sta.graph.TimingGraph` (compiled
-        lazily on first use)."""
-        if self._graph is None:
-            from .graph import TimingGraph
-
-            self._graph = TimingGraph(self.netlist, self.library, self.config)
-        return self._graph
-
-    # ------------------------------------------------------------------
     def analyze(self) -> TimingReport:
-        """Propagate arrivals/slews; returns the timing report.
+        """Propagate arrivals/slews; returns the timing report."""
+        from .graph import TimingGraph
 
-        Repeated calls against an (externally cell-edited) netlist
-        retime incrementally instead of paying a full propagation; the
-        result is identical either way.
-        """
-        graph = self.graph
-        if not graph.sync(self.netlist):
-            # Structural change: recompile from scratch.
-            self._graph = None
-            graph = self.graph
-        return graph.retime()
+        return TimingGraph(self.netlist, self.library, self.config).analyze()
 
 
 def critical_delay(

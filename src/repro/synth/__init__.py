@@ -19,7 +19,7 @@ from .mfs import MfsReport, mfs
 from .refactor import refactor
 from .resub import resub
 from .rewrite import StructureLibrary, rewrite
-from .scripts import ScriptReport, compress2rs, dc2, power_aware_restructure
+from .scripts import ScriptReport, compress2rs, power_aware_restructure
 from .truth import npn_apply, npn_canon, tt_mask, tt_support, tt_var
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "balance", "ChoiceAIG", "compute_choices", "Cut", "enumerate_cuts",
     "mffc_size", "Cube", "build_function", "cover_to_tt", "isop",
     "map_luts", "LUT", "LUTNetwork", "MfsReport", "mfs", "refactor",
-    "resub", "StructureLibrary", "rewrite", "ScriptReport", "compress2rs", "dc2",
+    "resub", "StructureLibrary", "rewrite", "ScriptReport", "compress2rs",
     "power_aware_restructure", "npn_apply", "npn_canon", "tt_mask",
     "tt_support", "tt_var",
 ]

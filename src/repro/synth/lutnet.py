@@ -57,9 +57,6 @@ class LUTNetwork:
     def lut_id(self, index: int) -> int:
         return self.num_pis + index + 1
 
-    def lut_at(self, node_id: int) -> LUT:
-        return self.luts[node_id - self.num_pis - 1]
-
     def is_pi(self, node_id: int) -> bool:
         return 1 <= node_id <= self.num_pis
 

@@ -108,30 +108,6 @@ def compress2rs(aig: AIG, report: ScriptReport | None = None) -> AIG:
     return _run_sequence("c2rs", aig, sequence, report)
 
 
-def dc2(aig: AIG, report: ScriptReport | None = None) -> AIG:
-    """ABC's ``dc2`` compress script (lighter than ``c2rs``).
-
-    Interleaves balancing and rewriting/refactoring without the
-    SAT-backed resubstitution — the fast default many flows run before
-    mapping when runtime matters more than the last percent of size.
-    """
-    report = report if report is not None else ScriptReport()
-    report.record("start", aig)
-    sequence = (
-        ("balance", balance),
-        ("rewrite", rewrite),
-        ("refactor", refactor),
-        ("balance", balance),
-        ("rewrite", rewrite),
-        ("rewrite-z", lambda g: rewrite(g, use_zero_gain=True)),
-        ("balance", balance),
-        ("refactor-z", lambda g: refactor(g, use_zero_gain=True)),
-        ("rewrite-z", lambda g: rewrite(g, use_zero_gain=True)),
-        ("balance", balance),
-    )
-    return _run_sequence("dc2", aig, sequence, report)
-
-
 def power_aware_restructure(
     aig: AIG,
     k: int = 6,

@@ -137,20 +137,6 @@ def _expand_plan(
     return replicate, tuple(swaps)
 
 
-def tt_from_bits(bits: list[bool]) -> int:
-    """Pack an explicit output column."""
-    table = 0
-    for i, bit in enumerate(bits):
-        if bit:
-            table |= 1 << i
-    return table
-
-
-def tt_count_ones(tt: int) -> int:
-    """Number of minterms."""
-    return bin(tt).count("1")
-
-
 # ----------------------------------------------------------------------
 # NPN canonicalization
 # ----------------------------------------------------------------------

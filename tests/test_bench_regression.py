@@ -127,6 +127,6 @@ class TestCommittedBaseline:
         # The trajectory sections the gate protects must all be present.
         assert {"aig_simulation", "sat", "cut_enumeration",
                 "spice_transient", "charlib_arc", "charlib_full_arc",
-                "sta_full", "sta_incremental"} <= set(metrics)
+                "sta_full"} <= set(metrics)
         # Tolerance overrides name gated sections.
         assert set(baseline["tolerances"]) <= set(metrics)

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from .oracles.netlist_readers import parse_verilog
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -71,8 +73,20 @@ class TestCommands:
             "-o", str(verilog), "-r", str(report),
         ])
         assert code == 0
-        assert verilog.read_text().startswith("module ctrl")
+        text = verilog.read_text()
+        assert text.startswith("module ctrl")
         assert "Power report" in report.read_text()
+        # Each port is declared once, even where a PO net is a PI.
+        header = text.split(");", 1)[0].splitlines()[1:]
+        ports = [line.split()[-1].rstrip(",") for line in header]
+        assert len(ports) == len(set(ports))
+        # The written netlist computes the circuit it was synthesized from.
+        from repro.benchgen import build_circuit
+        from repro.charlib import default_library
+        from repro.sat import assert_equivalent
+
+        back = parse_verilog(text).to_aig(default_library(10.0))
+        assert_equivalent(build_circuit("ctrl", "small"), back, "ctrl.v")
 
     def test_synthesize_aiger_file(self, tmp_path, capsys):
         from repro.benchgen import build_circuit

@@ -202,7 +202,7 @@ class TestModelProperties:
 
 
 class TestSmallSignalArraySignatures:
-    """Regression: gm/gds/ids_gm_gds accept arrays (they were scalar-only)."""
+    """Regression: gm/gds accept arrays (they were scalar-only)."""
 
     def test_gm_accepts_arrays(self, nfet):
         vgs = np.linspace(0.0, VDD, 11)
@@ -232,17 +232,6 @@ class TestSmallSignalArraySignatures:
     def test_scalar_inputs_return_floats(self, nfet):
         assert isinstance(nfet.gm(0.5, 0.5, 77.0), float)
         assert isinstance(nfet.gds(0.5, 0.5, 77.0), float)
-        ids, gm, gds = nfet.ids_gm_gds(0.5, 0.5, 77.0)
-        assert all(isinstance(v, float) for v in (ids, gm, gds))
-
-    @pytest.mark.parametrize("temperature", [300.0, 77.0, 10.0])
-    def test_ids_gm_gds_matches_reference_stencils(self, nfet, temperature):
-        vgs = np.linspace(0.0, VDD, 13)
-        vds = np.linspace(0.01, VDD, 13)
-        ids, gm, gds = nfet.ids_gm_gds(vgs, vds, temperature)
-        np.testing.assert_allclose(ids, nfet.ids(vgs, vds, temperature), rtol=1e-12)
-        np.testing.assert_allclose(gm, nfet.gm(vgs, vds, temperature), rtol=1e-12)
-        np.testing.assert_allclose(gds, nfet.gds(vgs, vds, temperature), rtol=1e-12)
 
     def test_kernel_params_match_ids(self, nfet):
         from repro.device.bsimcmg import ids_core

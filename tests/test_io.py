@@ -1,22 +1,22 @@
-"""Tests for AIGER / BLIF / Verilog interchange."""
+"""Tests for AIGER / BLIF / Verilog interchange.
+
+The program reads AIGER only; BLIF and Verilog round trips go through
+the readers in ``tests/oracles/netlist_readers.py``.
+"""
 
 import random
 
 import pytest
 
+from repro.benchgen import build_circuit
 from repro.charlib import default_library
-from repro.io import (
-    parse_ascii,
-    parse_binary,
-    parse_blif,
-    write_ascii,
-    write_binary,
-    write_blif,
-    write_verilog,
-)
+from repro.io import parse_ascii, parse_binary, write_ascii, write_binary, write_blif, write_verilog
 from repro.mapping import map_to_gates
+from repro.mapping.netlist import GateInstance, MappedNetlist
 from repro.sat import assert_equivalent
 from repro.synth import AIG, lit_not, map_luts
+
+from .oracles.netlist_readers import parse_blif, parse_verilog
 
 
 def random_network(seed: int, n_pis=5, n_ops=50) -> AIG:
@@ -110,14 +110,6 @@ class TestBlif:
         assert text.startswith(".model mymodel")
         assert parse_blif(text).name == "mymodel"
 
-    def test_unsupported_construct_rejected(self):
-        with pytest.raises(ValueError):
-            parse_blif(".model x\n.inputs a\n.outputs y\n.latch a y\n.end\n")
-
-    def test_undefined_output_rejected(self):
-        with pytest.raises(ValueError):
-            parse_blif(".model x\n.inputs a\n.outputs y\n.end\n")
-
 
 class TestVerilog:
     def test_structure(self):
@@ -152,8 +144,6 @@ class TestVerilog:
 
 class TestVerilogReader:
     def test_round_trip_equivalence(self):
-        from repro.io import parse_verilog, write_verilog
-
         g = random_network(4)
         lib = default_library(10.0)
         net = map_to_gates(g, lib)
@@ -162,45 +152,60 @@ class TestVerilogReader:
         assert back.pi_nets and back.po_nets
         assert_equivalent(net.to_aig(lib), back.to_aig(lib), "verilog rt")
 
-    def test_comments_stripped(self):
-        from repro.io import parse_verilog
 
-        text = (
-            "// header comment\n"
-            "module m (\n  input a,\n  output y\n);\n"
-            "/* block */  INVx1 g1 (.A(a), .Y(y));\n"
+def ports(text: str) -> list[str]:
+    """Port names of a written module, in header order."""
+    header = text.split(");", 1)[0]
+    return [line.split()[-1].rstrip(",") for line in header.splitlines()[1:]]
+
+
+class TestVerilogPoAliases:
+    """A PO whose net is a PI or an earlier PO gets its own output port."""
+
+    def test_exact_text(self):
+        # ``a[0]`` sanitizes onto the PI ``a_0_``; PO 2 is the PI
+        # ``a[0]``, PO 3 repeats PO 1 and PO 4 is the PI ``a_0_``.
+        net = MappedNetlist(
+            "po_alias",
+            ["a[0]", "a_0_", "b"],
+            ["y", "a[0]", "y", "a_0_"],
+            [GateInstance("g1", "AND2x1", {"A": "a[0]", "B": "b"}, "y")],
+        )
+        assert write_verilog(net) == (
+            "module po_alias (\n"
+            "  input  a_0_,\n"
+            "  input  a_0__1,\n"
+            "  input  b,\n"
+            "  output y,\n"
+            "  output a_0__2,\n"
+            "  output y_1,\n"
+            "  output a_0__3\n"
+            ");\n"
+            "  AND2x1 g1 (.A(a_0_), .B(b), .Y(y));\n"
+            "  assign a_0__2 = a_0_;\n"
+            "  assign y_1 = y;\n"
+            "  assign a_0__3 = a_0__1;\n"
             "endmodule\n"
         )
-        net = parse_verilog(text)
-        assert net.pi_nets == ["a"]
-        assert net.po_nets == ["y"]
-        assert net.gates[0].cell == "INVx1"
-        assert net.gates[0].pins == {"A": "a"}
-        assert net.gates[0].output_net == "y"
+        lib = default_library(10.0)
+        back = parse_verilog(write_verilog(net))
+        assert back.po_nets == ["y", "a_0_", "y", "a_0__1"]
+        assert_equivalent(net.to_aig(lib), back.to_aig(lib), "po aliases")
 
-    def test_wire_declarations_accepted(self):
-        from repro.io import parse_verilog
-
-        text = (
-            "module m (\n  input a,\n  output y\n);\n"
-            "  wire t1, t2;\n"
-            "  INVx1 g1 (.A(a), .Y(t1));\n"
-            "  INVx1 g2 (.A(t1), .Y(y));\n"
-            "endmodule\n"
+    def test_alias_port_clear_of_instance_names(self):
+        net = MappedNetlist(
+            "m", ["a"], ["a"], [GateInstance("a_1", "INVx1", {"A": "a"}, "n")]
         )
-        net = parse_verilog(text)
-        assert net.num_gates == 2
+        assert ports(write_verilog(net)) == ["a", "a_2"]
 
-    def test_missing_endmodule_rejected(self):
-        from repro.io import parse_verilog
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            parse_verilog("module m (input a, output y); INVx1 g (.A(a), .Y(y));")
-
-    def test_garbage_rejected(self):
-        from repro.io import parse_verilog
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            parse_verilog("library (foo) { }")
+    @pytest.mark.parametrize("name", ["ctrl", "priority", "square", "i2c"])
+    def test_round_trip_with_aliases(self, name):
+        lib = default_library(10.0)
+        net = map_to_gates(build_circuit(name, "small"), lib)
+        text = write_verilog(net)
+        names = ports(text)
+        assert len(names) == len(net.pi_nets) + len(net.po_nets)
+        assert len(set(names)) == len(names)
+        assert "assign" in text
+        back = parse_verilog(text)
+        assert_equivalent(net.to_aig(lib), back.to_aig(lib), name)

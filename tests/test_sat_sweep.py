@@ -56,12 +56,12 @@ def assert_same_resub_pass(aig: AIG, **kwargs) -> tuple[AIG, int]:
     with pytest.MonkeyPatch.context() as patch, obs.Tracer() as tracer:
         patch.setattr(resub_mod, "find_substitutions", recording_find)
         actual_out = resub_mod.resub(aig, **kwargs)
-    assert (found[0] if found else ({}, {})) == expected
+    assert (found[0] if found else {}) == expected
     examined = sum(
         tracer.counters.get(f"synth.resub.{name}", 0) for name in ("sat_queries", "sim_refuted")
     )
     assert examined == ref_tracer.counters.get("synth.resub.sat_queries", 0)
-    assert actual_out.structural_hash() == resub_ref.rebuild(aig, *expected).structural_hash()
+    assert actual_out.structural_hash() == resub_ref.rebuild(aig, expected).structural_hash()
     return actual_out, examined
 
 
@@ -126,15 +126,14 @@ def test_counters_split_solver_calls_from_simulation():
 # Random networks with planted equivalences
 # ----------------------------------------------------------------------
 def planted_network(seed: int, n_pis: int, n_steps: int) -> tuple[AIG, list[tuple]]:
-    """A random network with planted duplicates and AND pairs.
+    """A random network with planted duplicates.
 
-    Returns the network and its planted facts: ``("eq", node, lit)``
-    for ``node == lit`` and ``("eq_and", node, lit_a, lit_b)`` for
-    ``node == lit_a & lit_b``.  A duplicate of ``x`` is built as
+    Returns the network and its planted facts, ``("eq", node, lit)``
+    for ``node == lit``.  A duplicate of ``x`` is built as
     ``x & y | x & !y``, whose AND node implements ``!x`` (a
-    complemented duplicate).  An AND pair is built as
-    ``(a & (b | c)) & (b | !c)``, so no node equals ``a & b``
-    structurally.
+    complemented duplicate).  Some nodes are also built as
+    ``(a & (b | c)) & (b | !c)``, which equals ``a & b`` through no
+    node of its own.
     """
     rng = random.Random(seed)
     g = AIG()
@@ -156,8 +155,6 @@ def planted_network(seed: int, n_pis: int, n_steps: int) -> tuple[AIG, list[tupl
         else:
             a, b, c = pick(), pick(), pick()
             out = g.add_and(g.add_and(a, g.add_or(b, c)), g.add_or(b, c ^ 1))
-            if out > 1 and not out & 1:
-                facts.append(("eq_and", out >> 1, a, b))
         if out > 1:
             lits.append(out)
     for lit in lits[-3:]:
@@ -182,20 +179,12 @@ networks = st.builds(
 
 
 @settings(max_examples=40, deadline=None)
-@given(network=networks, budget=st.integers(0, 25), seed=st.integers(0, 3), binary=st.booleans())
-def test_resub_matches_reference_on_random_networks(network, budget, seed, binary):
+@given(network=networks, budget=st.integers(0, 25), seed=st.integers(0, 3))
+def test_resub_matches_reference_on_random_networks(network, budget, seed):
     aig, _ = network
-    with pytest.MonkeyPatch.context() as patch:
-        if binary:
-            # resub tries 1-resub only on nodes whose MFFC over their own
-            # fanins has two or more ANDs, which never holds: that MFFC
-            # is the node alone.  Lift the gate on both sides so the
-            # AND-pair proofs are compared too.
-            for module in (resub_mod, resub_ref):
-                patch.setattr(module, "_mffc_node_count", lambda *args: 2)
-        # Few patterns alias many nodes, so many candidates reach the
-        # engine; a small budget makes the pass stop mid-way.
-        assert_same_resub_pass(aig, patterns=8, max_sat_queries=budget, seed=seed)
+    # Few patterns alias many nodes, so many candidates reach the
+    # engine; a small budget makes the pass stop mid-way.
+    assert_same_resub_pass(aig, patterns=8, max_sat_queries=budget, seed=seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,24 +204,17 @@ def test_engine_counterexamples_separate_and_true_pairs_survive(network, queries
     checks = list(facts)
     for _ in range(30):
         node = rng.choice(nodes)
-        if rng.random() < 0.5:
-            checks.append(("eq", node, rng.randrange(2 * node)))
-        else:
-            checks.append(("eq_and", node, rng.randrange(2 * node), rng.randrange(2 * node)))
+        checks.append(("eq", node, rng.randrange(2 * node)))
     rng.shuffle(checks)
     planted = set(facts)
     for check in checks:
-        kind, node, *lits = check
+        _, node, lit = check
         found = len(engine.counterexamples)
-        if kind == "eq":
-            proven = engine.equal(node, lits[0])
-        else:
-            proven = engine.equal_and(node, *lits)
+        proven = engine.equal(node, lit)
         if check in planted:
             assert proven, check
         if len(engine.counterexamples) > found:
             assert not proven
-            values = values_under(aig, engine.counterexamples[-1], [node << 1, *lits])
-            target = values[1] if kind == "eq" else values[1] and values[2]
-            assert values[0] != target, check
+            values = values_under(aig, engine.counterexamples[-1], [node << 1, lit])
+            assert values[0] != values[1], check
     assert engine.examined == len(checks)

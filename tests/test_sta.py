@@ -1,9 +1,10 @@
-"""Tests for static timing analysis and signoff power."""
+"""Tests for static timing analysis, signoff power and signoff reports."""
 
 import random
 
 import pytest
 
+from repro.benchgen import build_circuit
 from repro.charlib import default_library
 from repro.mapping import map_to_gates
 from repro.sta import (
@@ -12,8 +13,11 @@ from repro.sta import (
     StaticTimingAnalyzer,
     analyze_power,
     critical_delay,
+    full_signoff,
+    render_power_report,
+    render_timing_report,
 )
-from repro.synth import AIG
+from repro.synth import AIG, compress2rs
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +159,34 @@ class TestPower:
         busy = PowerAnalyzer(net, lib300, pi_probability=0.5).analyze(1e-9)
         quiet = PowerAnalyzer(net, lib300, pi_probability=0.05).analyze(1e-9)
         assert quiet.switching < busy.switching
+
+
+class TestReports:
+    """The signoff text ``repro synthesize -r`` writes."""
+
+    @pytest.fixture(scope="class")
+    def net(self, lib10):
+        return map_to_gates(compress2rs(build_circuit("int2float", "small")), lib10)
+
+    def test_timing_report_contains_path(self, lib10, net):
+        timing = StaticTimingAnalyzer(net, lib10).analyze()
+        text = render_timing_report(net, lib10, timing)
+        assert "critical delay" in text
+        for name in timing.critical_path:
+            assert name in text
+
+    def test_power_report_decomposition(self, lib10, net):
+        power = analyze_power(net, lib10, 1e-9, vectors=128)
+        text = render_power_report(net, lib10, power)
+        assert "leakage" in text and "switching" in text
+        assert "TOTAL" in text
+        assert f"{net.num_gates:>6}" in text
+
+    def test_full_signoff_default_clock(self, lib10, net):
+        text = full_signoff(net, lib10, vectors=128)
+        assert "Timing report" in text
+        assert "Power report" in text
+
+    def test_full_signoff_explicit_clock(self, lib10, net):
+        text = full_signoff(net, lib10, clock_period=1e-9, vectors=128)
+        assert "1000.00 ps" in text

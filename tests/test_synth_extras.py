@@ -120,21 +120,6 @@ class TestWordLevelExtras:
                 assert eq == (va == vb)
                 assert ge == (va >= vb)
 
-    def test_shift_right(self):
-        wb = WordBuilder("t")
-        a = wb.input_word("a", 8)
-        s = wb.input_word("s", 3)
-        wb.output_word("y", wb.shift_right(a, s))
-        rng = random.Random(0)
-        for _ in range(30):
-            va, vs = rng.getrandbits(8), rng.getrandbits(3)
-            bits = [bool((va >> i) & 1) for i in range(8)] + [
-                bool((vs >> i) & 1) for i in range(3)
-            ]
-            outs = wb.aig.evaluate(bits)
-            got = sum(1 << i for i in range(8) if outs[i])
-            assert got == va >> vs
-
     def test_mul_truncated_width(self):
         wb = WordBuilder("t")
         a = wb.input_word("a", 4)
@@ -147,80 +132,3 @@ class TestWordLevelExtras:
             outs = wb.aig.evaluate(bits)
             got = sum(1 << i for i in range(4) if outs[i])
             assert got == (va * vb) % 16
-
-
-class TestDc2Script:
-    def test_equivalence_and_reduction(self):
-        from repro.sat import assert_equivalent
-        from repro.synth import dc2
-
-        rng = random.Random(21)
-        g = AIG()
-        lits = [g.add_pi() for _ in range(6)]
-        for _ in range(150):
-            a, b = rng.choice(lits), rng.choice(lits)
-            lits.append(
-                getattr(g, rng.choice(["add_and", "add_or", "add_xor"]))(
-                    a ^ rng.randint(0, 1), b ^ rng.randint(0, 1)
-                )
-            )
-        g.add_po(lits[-1])
-        g.add_po(lits[-2])
-        g = g.cleanup()
-        result = dc2(g)
-        assert_equivalent(g, result, "dc2")
-        assert result.num_ands <= g.num_ands
-
-    def test_step_trace_recorded(self):
-        from repro.benchgen import build_circuit
-        from repro.synth import dc2
-
-        g = build_circuit("ctrl", "small")
-        report = ScriptReport()
-        dc2(g, report=report)
-        labels = [label for label, _, _ in report.steps]
-        assert labels[0] == "start"
-        assert "rewrite" in labels and "balance" in labels
-        # dc2 never runs the SAT-backed resubstitution.
-        assert "resub" not in labels
-
-
-class TestDotExport:
-    def test_aig_dot_structure(self):
-        from repro.io import aig_to_dot
-
-        g = AIG("demo")
-        a, b = g.add_pi("a"), g.add_pi("b")
-        g.add_po(g.add_xor(a, b), "y")
-        dot = aig_to_dot(g)
-        assert dot.startswith('digraph "demo"')
-        assert '"a"' in dot and '"y"' in dot
-        assert "style=dashed" in dot  # xor uses inverted edges
-
-    def test_aig_dot_size_guard(self):
-        from repro.io import aig_to_dot
-
-        g = AIG()
-        lits = [g.add_pi() for _ in range(2)]
-        acc = lits[0]
-        for _ in range(50):
-            acc = g.add_and(acc, lits[1] ^ 1)
-            acc = g.add_xor(acc, lits[0])
-        g.add_po(acc)
-        with pytest.raises(ValueError):
-            aig_to_dot(g, max_nodes=10)
-
-    def test_netlist_dot(self):
-        from repro.charlib import default_library
-        from repro.io import netlist_to_dot
-        from repro.mapping import map_to_gates
-
-        g = AIG("n")
-        a, b = g.add_pi("a"), g.add_pi("b")
-        g.add_po(g.add_and(a, b), "y")
-        lib = default_library(10.0)
-        net = map_to_gates(g, lib)
-        dot = netlist_to_dot(net)
-        assert "digraph" in dot
-        for gate in net.gates:
-            assert gate.cell in dot
