@@ -534,6 +534,17 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def _record_count(text: str) -> int:
+    """argparse type of ``ledger --last``: a whole number, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _pick_record(records: list, index: int, what: str) -> dict:
     try:
         return records[index]
@@ -752,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lsub = p.add_subparsers(dest="ledger_action", required=True)
     lp = lsub.add_parser("list", help="one line per recorded run")
-    lp.add_argument("--last", "-n", type=int, default=20,
+    lp.add_argument("--last", "-n", type=_record_count, default=20,
                     help="show only the most recent N records (0 = all)")
     lp = lsub.add_parser("show", help="dump one record as JSON")
     lp.add_argument("index", nargs="?", type=int, default=-1,
@@ -770,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--field", default="duration_s",
                     help="record field: duration_s, peak_rss_mb, or "
                          "stages.<name> (default: duration_s)")
-    lp.add_argument("--last", "-n", type=int, default=20,
+    lp.add_argument("--last", "-n", type=_record_count, default=20,
                     help="points per command (default 20)")
     p.set_defaults(func=_cmd_ledger)
     return parser

@@ -294,24 +294,19 @@ class CryoSynthesisFlow:
         if not self.skip_stage2:
             stages.append(self._stage2())
         stages.append(self._select())
-        runner = FlowRunner(self.context, stages, span_prefix="flow", journal=self.journal)
+        runner = FlowRunner(self.context, stages, journal=self.journal)
         return runner.run(aig=aig)["optimized"][0]
 
     def map(self, aig: AIG) -> MappedNetlist:
         """Stage 3: technology mapping under the scenario's policy."""
-        runner = FlowRunner(
-            self.context, [self._map_stage()], span_prefix="flow", journal=self.journal
-        )
+        runner = FlowRunner(self.context, [self._map_stage()], journal=self.journal)
         return runner.run(optimized=(aig, ()))["netlist"]
 
     def run(self, aig: AIG) -> FlowResult:
         """Full pipeline on one circuit (power signoff done separately
         because the clock period depends on the sibling variants)."""
         with obs.span("flow.run", circuit=aig.name, scenario=self.scenario):
-            runner = FlowRunner(
-                self.context, self.synthesis_stages(), span_prefix="flow",
-                journal=self.journal,
-            )
+            runner = FlowRunner(self.context, self.synthesis_stages(), journal=self.journal)
             artifacts = runner.run(aig=aig)
         optimized, trace = artifacts["optimized"]
         netlist = artifacts["netlist"]

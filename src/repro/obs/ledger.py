@@ -56,7 +56,7 @@ _DISABLED = {"", "0", "off", "none", "disabled"}
 #: the pipeline taxonomy in ``docs/OBSERVABILITY.md`` — coarse enough
 #: to stay a handful of rows per run, fine enough to localize a
 #: regression to a stage before reaching for ``--trace``.
-_STAGE_PREFIXES = ("flow.", "stage.", "isolation.", "charlib.", "synth.")
+_STAGE_PREFIXES = ("flow.", "isolation.", "charlib.", "synth.")
 
 #: Counter prefixes worth persisting per run (cache health, kernel
 #: path, resilience events).  High-cardinality hot-loop counters
@@ -64,8 +64,6 @@ _STAGE_PREFIXES = ("flow.", "stage.", "isolation.", "charlib.", "synth.")
 _COUNTER_PREFIXES = (
     "cache.",
     "guard.",
-    "stage.timeout",
-    "stage.deadline",
     "stage.error",
     "isolation.",
     "journal.",

@@ -45,7 +45,6 @@ from .errors import (
     ParallelExecutionError,
     PermanentError,
     ReproError,
-    StageTimeoutError,
     TimeoutExceeded,
     TransientError,
     WorkerCrashError,
@@ -83,7 +82,6 @@ __all__ = [
     "JournalMismatchError",
     "MeasurementError",
     "ParallelExecutionError",
-    "StageTimeoutError",
     "TimeoutExceeded",
     "WorkerCrashError",
     "WorkerHungError",

@@ -105,11 +105,6 @@ class TimeoutExceeded(TransientError):
         self.timeout_s = timeout_s
 
 
-class StageTimeoutError(TimeoutExceeded):
-    """A pipeline stage exceeded its per-stage timeout or the flow
-    deadline (see :class:`repro.core.stages.FlowRunner`)."""
-
-
 class InjectedCrashError(PermanentError):
     """Simulated process death injected at the ``journal.crash`` site.
 

@@ -9,8 +9,9 @@ timing arc.  :class:`TimingGraph` instead compiles a
   sink pins, driver map);
 * per-level gate batches (every gate at topological level *L* is timed
   in one vectorized step once level *L−1* settled);
-* packed NLDM tables (:class:`~repro.sta.interp.PackedTables`) for the
-  whole library, looked up through the batched bilinear kernel.
+* packed NLDM tables (:class:`~repro.sta.interp.PackedTables`) of the
+  cells the netlist instantiates, looked up through the batched
+  bilinear kernel.
 
 :meth:`TimingGraph.analyze` is one full propagation over that state.
 
@@ -144,10 +145,10 @@ class TimingGraph:
         self._sink_cap = np.array(sink_cap, dtype=float)
         self._net_fanout = np.bincount(self._sink_net, minlength=N).astype(float)
 
-        # --- packed NLDM tables for the whole library --------------------
+        # --- packed NLDM tables of the cells in use, in first-use order ---
         self._tables = PackedTables()
         self._arc_tids: dict[tuple[str, str, str], tuple[int, int, int, int]] = {}
-        for cell in library.cells.values():
+        for cell in {cell.name: cell for cell in self._cells}.values():
             for arc in cell.arcs:
                 self._arc_tids[(cell.name, arc.related_pin, arc.output_pin)] = (
                     self._tables.add(arc.cell_rise),

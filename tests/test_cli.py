@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import argparse
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import ledger
 
 from .oracles.netlist_readers import parse_verilog
 
@@ -214,6 +216,30 @@ class TestObservabilityFlags:
         assert main(["calibrate", "--seed", "7", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "calibration.fit" in out
+
+
+class TestLedgerCommands:
+    @pytest.fixture(autouse=True)
+    def _four_records(self):
+        for k in range(4):
+            ledger.append({"schema": ledger.LEDGER_SCHEMA, "command": "synthesize",
+                           "duration_s": 1.0 + k}, os.environ["REPRO_LEDGER"])
+
+    @pytest.mark.parametrize("argv", [
+        ["list", "--last", "-3"], ["trend", "--last", "-1"], ["list", "-n", "x"],
+    ], ids=["list", "trend", "not-a-number"])
+    def test_bad_last_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ledger", *argv])
+        assert exc.value.code == 2
+        assert "argument --last/-n" in capsys.readouterr().err
+
+    def test_last_keeps_the_newest_records(self, capsys):
+        assert main(["ledger", "list", "--last", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert [row.split()[0] for row in rows] == ["1", "2", "3"]
+        assert main(["ledger", "trend", "--last", "2"]) == 0
+        assert "last=4 min=3 max=4 n=2" in capsys.readouterr().out
 
 
 class TestEvaluateAndCache:

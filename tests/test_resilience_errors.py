@@ -12,7 +12,6 @@ from repro.resilience import (
     ParallelExecutionError,
     PermanentError,
     ReproError,
-    StageTimeoutError,
     TimeoutExceeded,
     TransientError,
     classify,
@@ -50,7 +49,6 @@ class TestTaxonomy:
             MeasurementError,
             InjectedFaultError,
             TimeoutExceeded,
-            StageTimeoutError,
         ):
             assert is_transient(cls("x")), cls
 

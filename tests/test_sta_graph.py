@@ -136,6 +136,25 @@ class TestInterpKernel:
         assert len(tables) == 1
 
 
+class TestCompile:
+    def test_interns_only_the_tables_of_cells_in_use(self, library):
+        netlist = map_to_gates(build_circuit("adder", "small"), library)
+        graph = TimingGraph(netlist, library)
+        used = list(dict.fromkeys(gate.cell for gate in netlist.gates))
+        assert len(used) < len(library.cells)
+        # Each distinct table of the used cells once, in first-use order.
+        expected = list({
+            id(table): table
+            for name in used
+            for arc in library[name].arcs
+            for table in (arc.cell_rise, arc.cell_fall,
+                          arc.rise_transition, arc.fall_transition)
+        })
+        interned = [id(graph._tables.table(tid)) for tid in range(len(graph._tables))]
+        assert interned == expected
+        assert {cell for cell, _, _ in graph._arc_tids} == set(used)
+
+
 class TestFullSuiteDifferential:
     @pytest.mark.parametrize("name", sorted(EPFL_SUITE))
     def test_graph_equals_legacy(self, name, library):
