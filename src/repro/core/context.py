@@ -112,10 +112,10 @@ class DesignContext:
         """Cache key for one fully signed-off scenario result.
 
         This is the unit of the crash-safe run journal (see
-        :mod:`repro.resilience.journal`): ``run_scenarios`` stores the
-        final :class:`repro.core.flow.FlowResult` under this key and
-        journals ``(key, digest)`` so an interrupted sweep can replay
-        completed scenarios from the cache on ``--resume``.  The key
+        :mod:`repro.resilience.journal`): a journaled ``run_scenarios``
+        stores the final :class:`repro.core.flow.FlowResult` under this
+        key and journals ``(key, digest)`` so an interrupted sweep can
+        replay completed scenarios from the cache on ``--resume``.  The key
         must capture everything the result depends on — callers pass
         the scenario *set* (the fair-clock rule couples scenarios) and
         every signoff knob as ``parts``.

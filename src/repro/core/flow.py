@@ -393,12 +393,14 @@ def run_scenarios(
     (:mod:`repro.resilience.isolation`).
 
     Crash safety: with a ``journal``, every fully signed-off scenario
-    commits a ``scenario`` record carrying its cache key and result
-    digest.  On resume the journal is consulted first — a scenario
-    whose journaled digest still matches the cached artifact is
-    *replayed* without recomputation, which is what makes a
-    ``kill -9``'d sweep resumable to byte-identical output.  Degraded
-    or guard-flagged results are never cached or journaled.
+    result is cached and commits a ``scenario`` record carrying its
+    cache key and result digest.  Only the journal reads those cache
+    entries, so a run without one writes none.  On resume the journal
+    is consulted first — a scenario whose journaled digest still
+    matches the cached artifact is *replayed* without recomputation,
+    which is what makes a ``kill -9``'d sweep resumable to
+    byte-identical output.  Degraded or guard-flagged results are never
+    cached or journaled.
     """
     if context is None:
         if library is None:
@@ -480,12 +482,12 @@ def run_scenarios(
 
     obs.parallel_map(signoff_one, fresh, jobs, labels=labels)
 
-    for scenario in fresh:
-        result = results[scenario]
-        if result.is_degraded or result.guard_violations:
-            continue  # reduced-fidelity results never enter the ledger
-        context.cache.put(keys[scenario], result)
-        if journal is not None:
+    if journal is not None:
+        for scenario in fresh:
+            result = results[scenario]
+            if result.is_degraded or result.guard_violations:
+                continue  # reduced-fidelity results never enter the ledger
+            context.cache.put(keys[scenario], result)
             journal.record(
                 "scenario",
                 circuit=aig.name,

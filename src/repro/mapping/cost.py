@@ -13,7 +13,8 @@ first (Section IV-B):
 
 Costs compare lexicographically with a relative tie threshold, exactly
 like ABC's priority lists ("if the size of two choices is equal within
-a threshold, the delay is utilized as a tie-breaker").
+a threshold, the delay is utilized as a tie-breaker").  A cost vector
+is a ``(power, area, delay)`` tuple, in :data:`METRICS` order.
 """
 
 from __future__ import annotations
@@ -39,20 +40,29 @@ class CostPolicy:
             )
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be non-negative")
+        # Positions of the priorities in a cost tuple.  Not a field:
+        # cache keys digest a policy's fields.
+        object.__setattr__(self, "order", tuple(METRICS.index(m) for m in self.priorities))
 
-    def better(self, a: dict[str, float], b: dict[str, float]) -> bool:
-        """True if cost vector ``a`` beats ``b`` under this policy."""
-        for metric in self.priorities:
-            va, vb = a[metric], b[metric]
+    def compare(self, a: tuple[float, float, float], b: tuple[float, float, float]) -> int:
+        """Three-way comparison of cost tuples: -1 if ``a`` beats ``b``, 1
+        if ``b`` beats ``a``, 0 if neither does.
+
+        Metrics are taken in priority order; two values within
+        ``epsilon`` of the larger magnitude tie and pass to the next
+        metric.  The tie test is symmetric (IEEE subtraction is exactly
+        antisymmetric), so ``compare(a, b) == -compare(b, a)``.  It is
+        not transitive: ``a`` may tie ``b`` and ``b`` tie ``c`` while
+        ``a`` beats ``c``.
+        """
+        for i in self.order:
+            va = a[i]
+            vb = b[i]
             scale = max(abs(va), abs(vb), 1e-30)
             if abs(va - vb) / scale <= self.epsilon:
                 continue
-            return va < vb
-        return False
-
-    def key(self, costs: dict[str, float]) -> tuple[float, float, float]:
-        """Raw ordering key (no epsilon), for deterministic sorts."""
-        return tuple(costs[m] for m in self.priorities)  # type: ignore[return-value]
+            return (va > vb) - (va < vb)
+        return 0
 
 
 def baseline_power_aware() -> CostPolicy:

@@ -11,6 +11,10 @@ Cells sharing a function (drive-strength families) are grouped; the
 mapper picks among them by cost.  Cells with more than 4 inputs are
 characterized and written to liberty but not used for cut matching,
 mirroring the input-count limits of practical matchers.
+
+For the mapper's inner loop the view compiles :class:`MatchPlans`: per
+cut function, the configurations with their pins and the per-cell cost
+constants, computed once per view and set of mapper cost constants.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class CellFamily:
 
 
 class TechLibraryView:
-    """Match tables + convenience metrics over a liberty library."""
+    """Match tables over a liberty library, and the mapper's match plans."""
 
     @classmethod
     def for_library(cls, library: Library, cache=None) -> "TechLibraryView":
@@ -83,19 +87,7 @@ class TechLibraryView:
         self._build()
         self.inverter = self._pick_inverter()
         self.buffer = self._pick_buffer()
-        # Per-cell constants used by the mapper's inner loop: NLDM
-        # lookups are far too slow to repeat per candidate match.
-        self._delay_cache: dict[str, float] = {}
-        self._energy_cache: dict[str, float] = {}
-        self._leak_cache: dict[str, float] = {}
-        self._cap_cache: dict[str, tuple[float, ...]] = {}
-        for cell in library.cells.values():
-            self._delay_cache[cell.name] = cell.typical_delay()
-            self._energy_cache[cell.name] = cell.typical_energy()
-            self._leak_cache[cell.name] = cell.leakage_average
-            self._cap_cache[cell.name] = tuple(
-                cell.input_caps.get(pin, 0.0) for pin in cell.input_pins
-            )
+        self._plans: dict[tuple[int, float, float], MatchPlans] = {}
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
@@ -200,19 +192,102 @@ class TechLibraryView:
     def family_cells(self, config: MatchConfig) -> list[LibertyCell]:
         return self.families[config.function_key].cells
 
-    # ------------------------------------------------------------------
-    # Cell metrics used by the mapper's cost functions
-    # ------------------------------------------------------------------
-    def cell_delay(self, cell: LibertyCell) -> float:
-        """Representative delay [s] (worst arc, grid midpoint)."""
-        return self._delay_cache[cell.name]
+    def plans(
+        self, cells_per_family: int, wire_cap: float, leakage_ref_period: float
+    ) -> "MatchPlans":
+        """The match plans of this view under one set of mapper constants.
 
-    def cell_energy(self, cell: LibertyCell) -> float:
-        """Representative internal energy per output event [J]."""
-        return self._energy_cache[cell.name]
+        Shared by every mapper built with the same constants (one per
+        scenario in a flow), so each plan is compiled once per view.
+        """
+        key = (cells_per_family, wire_cap, leakage_ref_period)
+        plans = self._plans.get(key)
+        if plans is None:
+            plans = self._plans.setdefault(key, MatchPlans(self, *key))
+        return plans
 
-    def cell_input_cap(self, cell: LibertyCell, pin_index: int) -> float:
-        return self._cap_cache[cell.name][pin_index]
 
-    def cell_leakage(self, cell: LibertyCell) -> float:
-        return self._leak_cache[cell.name]
+class MatchPlans:
+    """Cost-ready match plans of one view, compiled on first use.
+
+    ``tables[arity][table]`` is the plan of one cut function: a tuple
+    with one entry per :class:`MatchConfig` of
+    :meth:`TechLibraryView.matches`, in that order::
+
+        (config, leaf_of_pin, pin_inverted, output_neg, cells)
+
+    ``cells`` holds, for the first ``cells_per_family`` cells of the
+    config's family, ``(cell, area, delay, energy, leakage, caps)``:
+    the area including the config's inverters, the representative
+    delay plus the output inverter's, the internal energy plus the
+    output wire's ``wire_cap * 0.5 * V^2``, the state-averaged leakage
+    times ``leakage_ref_period``, and the input-pin capacitances.
+    Every config of a family with the same inverters shares one
+    ``cells`` tuple, which keeps the plans small.
+
+    Each constant is computed with the operations, in the order, of
+    costing one candidate from scratch, so a plan changes no cost by a
+    bit.  NLDM lookups are far too slow to repeat per candidate.
+    """
+
+    def __init__(
+        self,
+        view: TechLibraryView,
+        cells_per_family: int,
+        wire_cap: float,
+        leakage_ref_period: float,
+    ):
+        self.view = view
+        self.cells_per_family = cells_per_family
+        self.wire_cap = wire_cap
+        self.leakage_ref_period = leakage_ref_period
+        vdd = view.library.vdd
+        #: Switching energy factor: signoff charges 0.5 * alpha * C * V^2.
+        self.half_cv2 = 0.5 * vdd * vdd
+        inv = view.inverter
+        self.inv_area = inv.area
+        self.inv_delay = inv.typical_delay()
+        #: Energy per unit activity of one inserted inverter: its input
+        #: pin charge, internal energy and output wire charge.
+        self.inv_energy = (
+            next(iter(inv.input_caps.values())) * self.half_cv2
+            + inv.typical_energy()
+            + wire_cap * self.half_cv2
+        )
+        self.inv_leakage = inv.leakage_average * leakage_ref_period
+        self.tables: list[dict[int, tuple]] = [{} for _ in range(MAX_MATCH_INPUTS + 1)]
+        self._cells: dict[tuple, tuple] = {}
+
+    def compile(self, arity: int, table: int) -> tuple:
+        """Compile, store and return the plan of one cut function."""
+        plan = tuple(
+            (
+                config,
+                config.leaf_of_pin,
+                tuple(bool((config.pin_neg_mask >> pin) & 1) for pin in range(arity)),
+                config.output_neg,
+                self._cells_of(config),
+            )
+            for config in self.view.matches(table, arity)
+        )
+        self.tables[arity][table] = plan
+        return plan
+
+    def _cells_of(self, config: MatchConfig) -> tuple:
+        n_inv = config.num_input_inverters + (1 if config.output_neg else 0)
+        key = (config.function_key, n_inv, config.output_neg)
+        cells = self._cells.get(key)
+        if cells is None:
+            out_inv_delay = self.inv_delay if config.output_neg else 0.0
+            cells = self._cells[key] = tuple(
+                (
+                    cell,
+                    cell.area + n_inv * self.inv_area,
+                    cell.typical_delay() + out_inv_delay,
+                    cell.typical_energy() + self.wire_cap * self.half_cv2,
+                    cell.leakage_average * self.leakage_ref_period,
+                    tuple(cell.input_caps.get(pin, 0.0) for pin in cell.input_pins),
+                )
+                for cell in self.view.family_cells(config)[: self.cells_per_family]
+            )
+        return cells

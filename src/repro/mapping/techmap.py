@@ -16,11 +16,18 @@ match and accumulated area-flow style:
 
 Inverters required by a configuration (input or output polarity) are
 costed in the DP and shared per net during extraction.
+
+The DP reads its per-cell constants from match plans compiled once per
+library view (:class:`repro.mapping.library.MatchPlans`), and computes
+what a cut's candidates share once per cut; each candidate's costs are
+still summed in the order of costing it from scratch, so the netlist
+is the one a from-scratch evaluation would give.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .. import obs
 from ..charlib.nldm import Library, LibertyCell
@@ -28,17 +35,16 @@ from ..synth.activity import node_activities, simulated_activities
 from ..synth.aig import AIG, lit_var
 from ..synth.cuts import Cut, enumerate_cuts
 from .cost import CostPolicy, baseline_power_aware
-from .library import MatchConfig, TechLibraryView
+from .library import MAX_MATCH_INPUTS, MatchConfig, TechLibraryView
 from .netlist import GateInstance, MappedNetlist
 
 
-@dataclass
-class _Match:
+class _Match(NamedTuple):
+    """The winning candidate of one node."""
+
     cut: Cut
     config: MatchConfig
     cell: LibertyCell
-    costs: dict[str, float]
-    arrival: float
 
 
 class TechnologyMapper:
@@ -69,126 +75,137 @@ class TechnologyMapper:
         #: Reference clock period converting leakage power into a
         #: per-cycle energy commensurate with the dynamic terms [s].
         self.leakage_ref_period = leakage_ref_period
-        inv = view.inverter
-        self._inv_area = inv.area
-        self._inv_delay = inv.typical_delay()
-        self._inv_energy = inv.typical_energy()
-        self._inv_cap = next(iter(inv.input_caps.values()))
-        self._inv_leak = inv.leakage_average
+        self.plans = view.plans(cells_per_family, wire_cap, leakage_ref_period)
 
     # ------------------------------------------------------------------
     def map(self, aig: AIG) -> MappedNetlist:
         """Map a combinational AIG to a gate-level netlist."""
         if aig.num_pis == 0 and aig.num_ands > 0:
             raise ValueError("cannot map a network without primary inputs")
-        vdd = self.view.library.vdd
         if self.activity_source == "simulation":
             activities = simulated_activities(aig, vectors=256)
         else:
             activities = node_activities(aig, self.pi_probability)
         cuts = enumerate_cuts(aig, k=self.k, max_cuts=self.max_cuts)
+        with obs.span("map.match"):
+            best = self._match(aig, activities, cuts)
+        return self._extract(aig, best)
+
+    # ------------------------------------------------------------------
+    def _match(
+        self, aig: AIG, activities: list[float], cuts: dict[int, list[Cut]]
+    ) -> dict[int, _Match]:
+        """The DP: the best (cut, config, cell) of every AND node.
+
+        Per candidate, the costs are
+
+        * power: ``act_root * energy + leakage``, then per cell pin in
+          pin order ``act_leaf * cap * half_cv2`` and, on an inverted
+          pin, the inverter's ``act_leaf * inv_energy + inv_leakage``;
+          then the output inverter's terms; then each leaf's power
+          divided by its fanout share, in leaf order;
+        * area: the plan's area, then each leaf's area share;
+        * delay: the latest (inverted) leaf arrival plus the plan's
+          delay.
+
+        Every sum is taken in that order, one term at a time, so the
+        costs are those of costing each candidate from scratch.  What
+        does not depend on the cell is computed once per cut (leaf
+        activities, arrivals and shares) or once per config (the input
+        arrival).  Candidates are scanned in cut, config and cell order;
+        one replaces the incumbent when ``compare`` ranks it better, or
+        when they tie and its raw priority key is smaller.
+        """
+        plans = self.plans
+        tables = plans.tables
+        half_cv2 = plans.half_cv2
+        inv_delay = plans.inv_delay
+        inv_energy = plans.inv_energy
+        inv_leakage = plans.inv_leakage
+        compare = self.policy.compare
+        key = itemgetter(*self.policy.order)
+        n_act = len(activities)
         fanouts = aig.fanout_counts()
 
-        best: dict[int, _Match] = {}
-        zero = {"power": 0.0, "area": 0.0, "delay": 0.0}
-        state_costs: dict[int, dict[str, float]] = {0: dict(zero)}
-        arrivals: dict[int, float] = {0: 0.0}
-        for node in aig.pis:
-            state_costs[node] = dict(zero)
-            arrivals[node] = 0.0
+        # Per node: the chosen arrival, and the chosen power and area
+        # divided by the node's fanout share (None until mapped).
+        arrival: list[float] = [0.0] * aig.num_nodes
+        power_share: list[float | None] = [None] * aig.num_nodes
+        area_share: list[float | None] = [None] * aig.num_nodes
+        for node in [0, *aig.pis]:
+            power_share[node] = area_share[node] = 0.0
 
-        matches_evaluated = 0
+        best: dict[int, _Match] = {}
+        evaluated = compiled = 0
         for node in aig.and_nodes():
-            chosen: _Match | None = None
+            act_root = activities[node]
+            root_inverter = act_root * inv_energy
+            chosen = None
             for cut in cuts[node]:
-                if node in cut.leaves or not cut.leaves:
+                leaves = cut.leaves
+                if node in leaves or not leaves:
                     continue
-                if any(l not in state_costs for l in cut.leaves):
+                leaf_power = [power_share[leaf] for leaf in leaves]
+                if None in leaf_power:
                     continue
-                arity = len(cut.leaves)
-                for config in self.view.matches(cut.table, arity):
-                    for cell in self.view.family_cells(config)[: self.cells_per_family]:
-                        matches_evaluated += 1
-                        match = self._evaluate(
-                            node, cut, config, cell, activities, fanouts,
-                            state_costs, arrivals, vdd,
-                        )
-                        if chosen is None or self.policy.better(match.costs, chosen.costs) or (
-                            not self.policy.better(chosen.costs, match.costs)
-                            and self.policy.key(match.costs) < self.policy.key(chosen.costs)
-                        ):
-                            chosen = match
+                arity = len(leaves)
+                if arity > MAX_MATCH_INPUTS:
+                    continue
+                plan = tables[arity].get(cut.table)
+                if plan is None:
+                    plan = plans.compile(arity, cut.table)
+                    compiled += 1
+                if not plan:
+                    continue
+                leaf_area = [area_share[leaf] for leaf in leaves]
+                acts = [activities[leaf] if leaf < n_act else 0.5 for leaf in leaves]
+                act_inverter = [act * inv_energy for act in acts]
+                leaf_arrival = [arrival[leaf] for leaf in leaves]
+                inverted_arrival = [a + inv_delay for a in leaf_arrival]
+                for config, leaf_of_pin, pin_inverted, output_neg, cells in plan:
+                    arrival_in = 0.0
+                    for i, inverted in zip(leaf_of_pin, pin_inverted):
+                        a = inverted_arrival[i] if inverted else leaf_arrival[i]
+                        if a > arrival_in:
+                            arrival_in = a
+                    evaluated += len(cells)
+                    for cell, area, delay, energy, leakage, caps in cells:
+                        power = act_root * energy
+                        power += leakage
+                        for i, inverted, cap in zip(leaf_of_pin, pin_inverted, caps):
+                            power += acts[i] * cap * half_cv2
+                            if inverted:
+                                power += act_inverter[i]
+                                power += inv_leakage
+                        if output_neg:
+                            power += root_inverter
+                            power += inv_leakage
+                        for term in leaf_power:
+                            power += term
+                        for term in leaf_area:
+                            area += term
+                        costs = (power, area, arrival_in + delay)
+                        if chosen is not None:
+                            c = compare(costs, chosen)
+                            if not (c < 0 or (c == 0 and key(costs) < key(chosen))):
+                                continue
+                        chosen = costs
+                        winner = (cut, config, cell)
             if chosen is None:
                 raise RuntimeError(
                     f"node {node}: no match found (cut functions not in library)"
                 )
-            best[node] = chosen
-            state_costs[node] = chosen.costs
-            arrivals[node] = chosen.arrival
+            best[node] = _Match(*winner)
+            share = max(1.0, float(fanouts[node]))
+            power_share[node] = chosen[0] / share
+            area_share[node] = chosen[1] / share
+            arrival[node] = chosen[2]
 
         if obs.current_tracer() is not None:
-            obs.count("map.matches_evaluated", matches_evaluated)
+            obs.count("map.matches_evaluated", evaluated)
             obs.count("map.nodes_mapped", len(best))
-        return self._extract(aig, best)
-
-    # ------------------------------------------------------------------
-    def _evaluate(
-        self,
-        node: int,
-        cut: Cut,
-        config: MatchConfig,
-        cell: LibertyCell,
-        activities: list[float],
-        fanouts: list[int],
-        state_costs: dict[int, dict[str, float]],
-        arrivals: dict[int, float],
-        vdd: float,
-    ) -> _Match:
-        view = self.view
-        n_inv_in = config.num_input_inverters
-        n_inv_out = 1 if config.output_neg else 0
-        act_root = activities[node]
-        half_cv2 = 0.5 * vdd * vdd  # signoff charges 0.5 * alpha * C * V^2
-        leak_scale = self.leakage_ref_period  # leakage -> energy/cycle
-
-        area = cell.area + (n_inv_in + n_inv_out) * self._inv_area
-        cell_delay = view.cell_delay(cell)
-        arrival = 0.0
-        # Per-cycle energy this match adds: cell internal energy plus
-        # the wire charge of the output net it creates, leakage scaled
-        # to a reference period, and the pin/wire load it places on its
-        # leaf nets — the exact decomposition the power analyzer uses.
-        power = act_root * (view.cell_energy(cell) + self.wire_cap * half_cv2)
-        power += view.cell_leakage(cell) * leak_scale
-        for pin_index in range(len(cut.leaves)):
-            leaf = cut.leaves[config.leaf_of_pin[pin_index]]
-            inverted = bool((config.pin_neg_mask >> pin_index) & 1)
-            leaf_arrival = arrivals[leaf] + (self._inv_delay if inverted else 0.0)
-            arrival = max(arrival, leaf_arrival)
-            act_leaf = activities[leaf] if leaf < len(activities) else 0.5
-            pin_cap = view.cell_input_cap(cell, pin_index)
-            power += act_leaf * pin_cap * half_cv2
-            if inverted:
-                power += act_leaf * (
-                    self._inv_cap * half_cv2
-                    + self._inv_energy
-                    + self.wire_cap * half_cv2
-                )
-                power += self._inv_leak * leak_scale
-        arrival += cell_delay + (self._inv_delay if n_inv_out else 0.0)
-        if n_inv_out:
-            power += act_root * (
-                self._inv_cap * half_cv2 + self._inv_energy + self.wire_cap * half_cv2
-            )
-            power += self._inv_leak * leak_scale
-
-        costs = {"power": power, "area": area, "delay": arrival}
-        for leaf in cut.leaves:
-            share = max(1.0, float(fanouts[leaf]))
-            leaf_costs = state_costs[leaf]
-            costs["power"] += leaf_costs["power"] / share
-            costs["area"] += leaf_costs["area"] / share
-        return _Match(cut=cut, config=config, cell=cell, costs=costs, arrival=arrival)
+            obs.count("map.plans_compiled", compiled)
+        return best
 
     # ------------------------------------------------------------------
     def _extract(self, aig: AIG, best: dict[int, _Match]) -> MappedNetlist:

@@ -1,8 +1,12 @@
 """Tests for technology mapping: cost policies, matching, extraction."""
 
 import random
+from dataclasses import replace
+from itertools import permutations
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.charlib import default_library
 from repro.mapping import (
@@ -14,8 +18,11 @@ from repro.mapping import (
     p_a_d,
     p_d_a,
 )
+from repro.mapping.cost import METRICS
 from repro.sat import assert_equivalent
 from repro.synth import AIG, lit_not
+
+from .oracles import map_reference as ref
 
 
 @pytest.fixture(scope="module")
@@ -50,18 +57,75 @@ class TestCostPolicy:
         with pytest.raises(ValueError):
             CostPolicy("bad", ("power", "area", "delay"), epsilon=-0.1)
 
+    # Cost tuples are (power, area, delay).
     def test_primary_dominates(self):
         policy = p_a_d()
-        cheap_power = {"power": 1.0, "area": 100.0, "delay": 100.0}
-        cheap_area = {"power": 2.0, "area": 1.0, "delay": 1.0}
-        assert policy.better(cheap_power, cheap_area)
-        assert not policy.better(cheap_area, cheap_power)
+        cheap_power = (1.0, 100.0, 100.0)
+        cheap_area = (2.0, 1.0, 1.0)
+        assert policy.compare(cheap_power, cheap_area) < 0
+        assert not policy.compare(cheap_area, cheap_power) < 0
 
     def test_tie_falls_through(self):
         policy = p_a_d()
-        a = {"power": 1.00, "area": 5.0, "delay": 1.0}
-        b = {"power": 1.01, "area": 2.0, "delay": 1.0}  # power ties (1% < eps)
-        assert policy.better(b, a)
+        a = (1.00, 5.0, 1.0)
+        b = (1.01, 2.0, 1.0)  # power ties (1% < eps)
+        assert policy.compare(b, a) < 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.tuples(st.floats(), st.floats(), st.floats()),
+        b=st.tuples(st.floats(), st.floats(), st.floats()),
+        ordering=st.integers(0, 5),
+        epsilon=st.floats(0.0, 1.0),
+    )
+    def test_compare_is_antisymmetric_and_matches_reference(self, a, b, ordering, epsilon):
+        policy = replace(all_orderings()[ordering], epsilon=epsilon)
+        c = policy.compare(a, b)
+        assert c == -policy.compare(b, a)
+        da, db = dict(zip(METRICS, a)), dict(zip(METRICS, b))
+        expected = -1 if ref.better(policy, da, db) else 1 if ref.better(policy, db, da) else 0
+        assert c == expected
+
+    def test_non_transitive_triple_picks_the_reference_winner(self):
+        policy = p_a_d()
+        a = (1.000, 3.0, 1.0)
+        b = (1.015, 2.0, 1.0)  # ties a on power (1.5 %), wins on area
+        c = (1.030, 1.0, 1.0)  # ties b on power, wins on area; loses to a
+        d = (1.001, 3.001, 1.0)  # ties a on every metric; a's raw key is smaller
+        assert policy.compare(b, a) < 0
+        assert policy.compare(c, b) < 0
+        assert policy.compare(a, c) < 0
+        assert policy.compare(d, a) == 0
+
+        def scan(candidates):
+            # The mapper's selection rule.
+            key = itemgetter(*policy.order)
+            chosen = None
+            for costs in candidates:
+                if chosen is None:
+                    chosen = costs
+                    continue
+                cmp = policy.compare(costs, chosen)
+                if cmp < 0 or (cmp == 0 and key(costs) < key(chosen)):
+                    chosen = costs
+            return chosen
+
+        def reference_scan(candidates):
+            chosen = None
+            for costs in candidates:
+                new = dict(zip(METRICS, costs))
+                if chosen is None or ref.better(policy, new, chosen) or (
+                    not ref.better(policy, chosen, new)
+                    and ref.key(policy, new) < ref.key(policy, chosen)
+                ):
+                    chosen = new
+            return tuple(chosen[m] for m in METRICS)
+
+        winners = set()
+        for order in permutations((a, b, c, d)):
+            winners.add(scan(order))
+            assert scan(order) == reference_scan(order), order
+        assert len(winners) > 1  # the scan order decides
 
     def test_orderings_distinct(self):
         orderings = all_orderings()

@@ -270,3 +270,28 @@ class TestResumeDeterminism:
                     aig, context=context, scenarios=["baseline"], journal=journal
                 )
         assert results["baseline"].num_gates > 0
+
+
+class TestScenarioResultStore:
+    """Only the journal reads scenario results back from the cache."""
+
+    @pytest.mark.no_chaos  # injected disk corruption / degraded vetoes change what is cached
+    def test_only_a_journaled_run_caches_scenario_results(self, tmp_path, library):
+        aig = build_circuit("ctrl", "small")
+        scenarios = ["baseline", "p_d_a"]
+        journaled_dir = tmp_path / "journaled"
+        with using_cache(ArtifactCache(cache_dir=journaled_dir)):
+            context = DesignContext.from_library(library)
+            with RunJournal.create(tmp_path / "run.jsonl") as journal:
+                run_scenarios(aig, context=context, scenarios=scenarios, journal=journal)
+            keys = list(journal.completed_scenarios())
+        assert len(keys) == len(scenarios)
+        assert all(ArtifactCache(cache_dir=journaled_dir).get(key) is not None for key in keys)
+
+        plain_dir = tmp_path / "plain"
+        with using_cache(ArtifactCache(cache_dir=plain_dir)):
+            context = DesignContext.from_library(library)
+            run_scenarios(aig, context=context, scenarios=scenarios)
+        # The stages were cached on disk, the scenario results were not.
+        assert list(plain_dir.glob("*.pkl"))
+        assert all(ArtifactCache(cache_dir=plain_dir).get(key) is None for key in keys)
