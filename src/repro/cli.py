@@ -120,6 +120,7 @@ def _tracing(args: argparse.Namespace):
                     command=getattr(args, "command", "?"),
                     config=_journal_config(args),
                     status=status,
+                    qor=getattr(args, "_qor", None),
                 )
                 ledger.append(record, ledger_to)
         if profile and status == "ok":
@@ -144,6 +145,18 @@ def _faulting(args: argparse.Namespace):
 
     with injecting(parse_plan(plan_text)):
         yield
+
+
+def _qor(result) -> dict:
+    """One (circuit, scenario) entry of the run ledger's QoR block."""
+    return {
+        "ands": result.optimized_aig.num_ands,
+        "depth": result.optimized_aig.depth(),
+        "gates": result.num_gates,
+        "area_um2": result.area,
+        "delay_s": result.critical_delay,
+        "power_w": result.total_power,
+    }
 
 
 def _degraded_summary(degraded: list[str], strict: bool) -> int:
@@ -393,6 +406,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     except GuardViolation as exc:
         return _guard_violation_exit(exc, args.json)
     result = results[args.scenario]
+    args._qor = {aig.name: {args.scenario: _qor(result)}}
     print(f"mapped: {result.num_gates} gates, {result.area:.3f} um2, "
           f"delay {result.critical_delay * 1e12:.2f} ps, "
           f"power {result.total_power * 1e6:.2f} uW")
@@ -425,6 +439,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     print(header)
     print("-" * len(header))
     dump: dict[str, dict[str, dict]] = {}
+    qor: dict[str, dict[str, dict]] = {}
     degraded: list[str] = []
     for source in args.circuits:
         aig = _load_circuit(source, args.preset)
@@ -440,6 +455,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         except GuardViolation as exc:
             return _guard_violation_exit(exc, args.json)
         dump[aig.name] = {}
+        qor[aig.name] = {scenario: _qor(result) for scenario, result in results.items()}
         for scenario, result in results.items():
             dump[aig.name][scenario] = result.to_dict()
             for arc in result.degraded:
@@ -450,6 +466,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 f" {result.area:10.3f} {result.critical_delay * 1e12:10.1f}"
                 f" {result.total_power * 1e6:10.2f}"
             )
+    args._qor = qor
     if args.json:
         import json
 
@@ -638,6 +655,18 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
                 worst = row["delta"]
         for name, value in delta["counter_deltas"].items():
             print(f"  {name}: {value:+g}")
+        drift = delta["qor_drift"]
+        if drift is None:
+            print("qor: not recorded")
+        elif not drift:
+            print("qor: no drift")
+        else:
+            print(f"qor: {len(drift)} value(s) drifted")
+            for row in drift:
+                print(
+                    f"  {row['circuit']}/{row['scenario']} {row['metric']}: "
+                    f"{row['old']} -> {row['new']}"
+                )
         if args.fail_over is not None and worst is not None and worst > args.fail_over:
             print(
                 f"repro: error: worst stage slowdown {worst:+.1%} exceeds "
@@ -769,7 +798,9 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("index", nargs="?", type=int, default=-1,
                     help="record index (negative counts from the end; "
                          "default: the latest)")
-    lp = lsub.add_parser("compare", help="per-stage deltas between two runs")
+    lp = lsub.add_parser(
+        "compare", help="per-stage deltas and QoR drift between two runs"
+    )
     lp.add_argument("old", nargs="?", type=int, default=-2,
                     help="older record index (default: second-latest)")
     lp.add_argument("new", nargs="?", type=int, default=-1,

@@ -207,7 +207,7 @@ class CryoSynthesisFlow:
             ),
         )
 
-    def _stage2(self) -> Stage:
+    def _stage2(self, memo: dict | None = None) -> Stage:
         mode = self.stage2_power_mode
 
         def compute(ctx: DesignContext, ins) -> tuple[AIG, tuple[TraceStep, ...]]:
@@ -219,6 +219,7 @@ class CryoSynthesisFlow:
                 power_mode=mode,
                 use_choices=self.use_choices,
                 report=report,
+                memo=memo,
             )
             return restructured, tuple(report.steps)
 
@@ -252,11 +253,11 @@ class CryoSynthesisFlow:
             name="select", inputs=inputs, output="optimized", compute=compute
         )
 
-    def _map_stage(self) -> Stage:
+    def _map_stage(self, memo: dict | None = None) -> Stage:
         def compute(ctx: DesignContext, ins) -> MappedNetlist:
             optimized = ins["optimized"][0]
             mapper = TechnologyMapper(ctx.view, self.policy)
-            return mapper.map(optimized)
+            return mapper.map(optimized, memo=memo)
 
         return Stage(
             name="map",
@@ -277,12 +278,15 @@ class CryoSynthesisFlow:
         # already-cached inputs: always recomputed.
         return Stage(name="sta", inputs=("netlist",), output="timing", compute=compute)
 
-    def synthesis_stages(self) -> list[Stage]:
-        """The declarative pipeline this flow executes."""
+    def synthesis_stages(self, memo: dict | None = None) -> list[Stage]:
+        """The declarative pipeline this flow executes.
+
+        ``memo`` is handed to stage 2 and the mapper (see :meth:`run`).
+        """
         stages = [self._stage1()]
         if not self.skip_stage2:
-            stages.append(self._stage2())
-        stages.extend([self._select(), self._map_stage(), self._sta_stage()])
+            stages.append(self._stage2(memo))
+        stages.extend([self._select(), self._map_stage(memo), self._sta_stage()])
         return stages
 
     # ------------------------------------------------------------------
@@ -302,11 +306,19 @@ class CryoSynthesisFlow:
         runner = FlowRunner(self.context, [self._map_stage()], journal=self.journal)
         return runner.run(optimized=(aig, ()))["netlist"]
 
-    def run(self, aig: AIG) -> FlowResult:
+    def run(self, aig: AIG, memo: dict | None = None) -> FlowResult:
         """Full pipeline on one circuit (power signoff done separately
-        because the clock period depends on the sibling variants)."""
+        because the clock period depends on the sibling variants).
+
+        ``memo`` shares scenario-invariant work (structural choices,
+        LUT candidates, the mapper's cuts and activities) with the
+        other scenarios of one :func:`run_scenarios` call; see
+        :mod:`repro.synth.memo`.  It changes no result.
+        """
         with obs.span("flow.run", circuit=aig.name, scenario=self.scenario):
-            runner = FlowRunner(self.context, self.synthesis_stages(), journal=self.journal)
+            runner = FlowRunner(
+                self.context, self.synthesis_stages(memo), journal=self.journal
+            )
             artifacts = runner.run(aig=aig)
         optimized, trace = artifacts["optimized"]
         netlist = artifacts["netlist"]
@@ -384,9 +396,15 @@ def run_scenarios(
     charged for their higher clock rates).
 
     Scenarios share one :class:`DesignContext` (one match-table view,
-    one artifact cache), so stages 1–2 are computed once per distinct
-    stage-2 power mode — the content-addressed generalization of the
-    old per-call ``optimized_cache``.  With ``jobs > 1`` the scenario
+    one artifact cache), so stage 1 is computed once and stage 2 once
+    per distinct stage-2 power mode; every map has its own cache key.
+    When more than one scenario is computed on threads, they also
+    share one memo (:mod:`repro.synth.memo`) of the work that depends
+    on the network alone: stage 2's structural choices and LUT
+    candidates once per circuit, the mapper's cuts and activities once
+    per distinct optimized network.  The memo lives only until this
+    call's synthesis fan-out ends; it is never cached, and it changes
+    no result, cache key or journal record.  With ``jobs > 1`` the scenario
     runs (and their signoffs) fan out over worker threads with
     deterministic, scenario-ordered results; ``isolate="process"``
     moves the synthesis fan-out into supervised worker subprocesses
@@ -463,12 +481,14 @@ def run_scenarios(
                 _scenario_task, payloads, jobs, labels=labels, isolate="process"
             )
         else:
+            memo = {} if len(fresh) > 1 else None
 
             def run_one(scenario: str) -> FlowResult:
                 with obs.span("flow.scenario", circuit=aig.name, scenario=scenario):
-                    return flows[scenario].run(aig)
+                    return flows[scenario].run(aig, memo=memo)
 
             outs = obs.parallel_map(run_one, fresh, jobs, labels=labels)
+            memo = None  # the shared work is not kept through signoff
         results.update(zip(fresh, outs))
 
     slowest = max(result.critical_delay for result in results.values())

@@ -34,6 +34,7 @@ from ..charlib.nldm import Library, LibertyCell
 from ..synth.activity import node_activities, simulated_activities
 from ..synth.aig import AIG, lit_var
 from ..synth.cuts import Cut, enumerate_cuts
+from ..synth.memo import memoized
 from .cost import CostPolicy, baseline_power_aware
 from .library import MAX_MATCH_INPUTS, MatchConfig, TechLibraryView
 from .netlist import GateInstance, MappedNetlist
@@ -78,18 +79,31 @@ class TechnologyMapper:
         self.plans = view.plans(cells_per_family, wire_cap, leakage_ref_period)
 
     # ------------------------------------------------------------------
-    def map(self, aig: AIG) -> MappedNetlist:
-        """Map a combinational AIG to a gate-level netlist."""
+    def map(self, aig: AIG, memo: dict | None = None) -> MappedNetlist:
+        """Map a combinational AIG to a gate-level netlist.
+
+        The node activities and cut sets do not depend on the library
+        or the policy; with a ``memo`` (see :mod:`repro.synth.memo`)
+        another mapper of the same network reuses them.
+        """
         if aig.num_pis == 0 and aig.num_ands > 0:
             raise ValueError("cannot map a network without primary inputs")
+        activities, cuts = memoized(
+            memo, "map.inputs", aig,
+            (self.k, self.max_cuts, self.activity_source, self.pi_probability),
+            lambda: self._inputs(aig),
+        )
+        with obs.span("map.match"):
+            best = self._match(aig, activities, cuts)
+        return self._extract(aig, best)
+
+    def _inputs(self, aig: AIG) -> tuple[list[float], dict[int, list[Cut]]]:
+        """The node activities and cut sets :meth:`_match` reads."""
         if self.activity_source == "simulation":
             activities = simulated_activities(aig, vectors=256)
         else:
             activities = node_activities(aig, self.pi_probability)
-        cuts = enumerate_cuts(aig, k=self.k, max_cuts=self.max_cuts)
-        with obs.span("map.match"):
-            best = self._match(aig, activities, cuts)
-        return self._extract(aig, best)
+        return activities, enumerate_cuts(aig, k=self.k, max_cuts=self.max_cuts)
 
     # ------------------------------------------------------------------
     def _match(

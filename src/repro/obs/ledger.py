@@ -5,9 +5,11 @@ answers "how does that compare to every run before it".  Flow commands
 (``synthesize``, ``evaluate``) append one schema-versioned record per
 invocation — config fingerprint, per-stage wall/self times, the
 operationally interesting counters (cache hits/misses, kernel-path
-choices, degraded arcs, guard violations), and peak RSS from the
-resource monitor — to an append-only JSONL file, so performance and
-health trends survive the process and are diffable between commits.
+choices, degraded arcs, guard violations), peak RSS from the
+resource monitor, and a QoR block (ANDs, depth, gates, area, delay
+and power per circuit and scenario) — to an append-only JSONL file,
+so performance, health and result trends survive the process and are
+diffable between commits.
 
 The destination is :envvar:`REPRO_LEDGER` (default
 ``.repro/ledger.jsonl`` in the working directory); the values ``""``,
@@ -81,6 +83,10 @@ _COUNTER_PREFIXES = (
     # pass (one emission each), so drift in solver work shows.
     "synth.resub.",
     "synth.dch.",
+    # Stage 2 discarding its result for the stage-1 network.
+    "synth.power_restructure.",
+    # Scenario-invariant work shared within one run_scenarios call.
+    "memo.",
 )
 
 
@@ -134,14 +140,17 @@ def build_record(
     command: str,
     config: Mapping[str, Any] | None = None,
     status: str = "ok",
+    qor: dict[str, dict[str, dict[str, Any]]] | None = None,
 ) -> dict[str, Any]:
     """Distill one run's tracer into a ledger record.
 
     The record is self-contained plain JSON: schema tag, wall-clock
     timestamp, config fingerprint (plus the config itself, for ``repro
     ledger show``), total duration, the per-stage wall/self table, the
-    filtered counters, and the peak-RSS/CPU gauges the resource monitor
-    recorded.
+    filtered counters, the peak-RSS/CPU gauges the resource monitor
+    recorded, and ``qor`` — ``{circuit: {scenario: {metric: value}}}``
+    with the metrics ``ands``, ``depth``, ``gates``, ``area_um2``,
+    ``delay_s`` and ``power_w``, or ``None`` when the run produced none.
     """
     metrics = tracer.metrics_snapshot()
     stages: dict[str, dict[str, float]] = {}
@@ -180,6 +189,7 @@ def build_record(
         },
         "counters": counters,
         "gauges": gauges,
+        "qor": qor,
     }
 
 
@@ -226,6 +236,19 @@ def read(path: str | os.PathLike) -> list[dict[str, Any]]:
 # ----------------------------------------------------------------------
 # Analysis
 # ----------------------------------------------------------------------
+def _qor_values(record: Mapping[str, Any]) -> dict[tuple[str, str, str], Any] | None:
+    """``(circuit, scenario, metric) -> value`` of a record's QoR block."""
+    qor = record.get("qor")
+    if not isinstance(qor, Mapping):
+        return None
+    return {
+        (circuit, scenario, metric): value
+        for circuit, scenarios in qor.items()
+        for scenario, metrics in scenarios.items()
+        for metric, value in metrics.items()
+    }
+
+
 def compare(old: Mapping[str, Any], new: Mapping[str, Any]) -> dict[str, Any]:
     """Per-stage and total deltas between two ledger records.
 
@@ -235,6 +258,12 @@ def compare(old: Mapping[str, Any], new: Mapping[str, Any]) -> dict[str, Any]:
     for keys present in either, and whether the configs match — a
     timing comparison across different configs is labelled as such
     rather than refused.
+
+    Result drift is reported apart from time: ``qor_drift`` lists each
+    (circuit, scenario, metric) whose value differs, ``None`` on the
+    side that lacks it, and is ``None`` itself when either record has
+    no QoR block (a record from before QoR was recorded, or a run that
+    produced no results).
     """
     old_stages = old.get("stages") or {}
     new_stages = new.get("stages") or {}
@@ -254,6 +283,19 @@ def compare(old: Mapping[str, Any], new: Mapping[str, Any]) -> dict[str, Any]:
         for name in sorted(set(old_counters) | set(new_counters))
         if new_counters.get(name, 0) != old_counters.get(name, 0)
     }
+    old_qor, new_qor = _qor_values(old), _qor_values(new)
+    if old_qor is None or new_qor is None:
+        qor_drift = None
+    else:
+        qor_drift = []
+        for key in sorted(set(old_qor) | set(new_qor)):
+            before, after = old_qor.get(key), new_qor.get(key)
+            if before != after:
+                circuit, scenario, metric = key
+                qor_drift.append({
+                    "circuit": circuit, "scenario": scenario, "metric": metric,
+                    "old": before, "new": after,
+                })
     old_total = old.get("duration_s")
     new_total = new.get("duration_s")
     return {
@@ -270,6 +312,7 @@ def compare(old: Mapping[str, Any], new: Mapping[str, Any]) -> dict[str, Any]:
         "new_peak_rss_mb": new.get("peak_rss_mb"),
         "stages": rows,
         "counter_deltas": counter_deltas,
+        "qor_drift": qor_drift,
     }
 
 

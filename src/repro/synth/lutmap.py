@@ -15,6 +15,10 @@ Cut enumeration runs *table-free*; truth tables are computed by cone
 simulation only for the cuts the cover actually selects.  The result is structure-free
 (leaves + truth table per LUT), which is exactly what lets structural
 choice classes contribute alternative cuts.
+
+:func:`map_luts` is :func:`lut_candidates` (cuts, activities and the
+per-node candidates, none of which depend on ``power_mode``) followed
+by :func:`cover_luts` (the DP and the extraction).
 """
 
 from __future__ import annotations
@@ -53,6 +57,34 @@ class _NodeState:
     refs: float = 1.0
 
 
+@dataclass
+class LutCandidates:
+    """The power-mode-independent half of :func:`map_luts`.
+
+    The cut candidates of every representative AND node of ``network``
+    (the choice network when ``choices`` is given), with the node
+    activities and fanout counts the covering DP reads.
+    :func:`cover_luts` only reads it, so stage 2's power modes can
+    share one (see :mod:`repro.synth.memo`).
+    """
+
+    network: AIG
+    choices: ChoiceAIG | None
+    activities: list[float]
+    fanouts: list[int]
+    #: Per representative AND node, in topological order, its
+    #: candidates in enumeration order.
+    candidates: dict[int, list[_Candidate]]
+
+
+def _class_maps(choices: ChoiceAIG | None):
+    """``(rep, phase)`` of each node: its class representative and
+    whether it implements the representative's complement."""
+    if choices is None:
+        return (lambda node: node), (lambda node: False)
+    return choices.representative.__getitem__, choices.phase.__getitem__
+
+
 def map_luts(
     aig: AIG,
     k: int = 6,
@@ -63,33 +95,29 @@ def map_luts(
     pi_probability: float = 0.5,
 ) -> LUTNetwork:
     """Map an AIG (or its choice-augmented version) to k-LUTs."""
-    if power_mode not in ("off", "tiebreak", "primary"):
-        raise ValueError(f"unknown power mode {power_mode!r}")
+    return cover_luts(
+        lut_candidates(aig, k, max_cuts, choices, pi_probability),
+        power_mode=power_mode,
+        area_passes=area_passes,
+    )
+
+
+def lut_candidates(
+    aig: AIG,
+    k: int = 6,
+    max_cuts: int = 8,
+    choices: ChoiceAIG | None = None,
+    pi_probability: float = 0.5,
+) -> LutCandidates:
+    """Enumerate the table-free k-cuts and turn them into candidates.
+
+    A representative's candidates come from the cuts of every member of
+    its class, with leaves mapped to their representatives.
+    """
     network = choices.aig if choices is not None else aig
-
-    if choices is None:
-        def rep(node: int) -> int:
-            return node
-
-        def phase(node: int) -> bool:
-            return False
-    else:
-        def rep(node: int) -> int:
-            return choices.representative[node]
-
-        def phase(node: int) -> bool:
-            return choices.phase[node]
-
-    result = LUTNetwork(network.num_pis, name=network.name)
-    result.pi_names = list(network.pi_names)
-    result.po_names = list(network.po_names)
-    pi_ids = {node: i + 1 for i, node in enumerate(network.pis)}
-
     if network.num_ands == 0:
-        for po in network.pos:
-            var = lit_var(po)
-            result.outputs.append((pi_ids.get(var, 0), bool(po & 1)))
-        return result
+        return LutCandidates(network, choices, [], [], {})
+    rep, phase = _class_maps(choices)
 
     raw_cuts = enumerate_cuts(network, k=k, max_cuts=max_cuts, compute_tables=False)
     activities = node_activities(network, pi_probability)
@@ -127,7 +155,41 @@ def map_luts(
                 )
         return out
 
-    repr_nodes = [n for n in network.and_nodes() if rep(n) == n]
+    return LutCandidates(
+        network, choices, activities, fanouts,
+        {node: candidates_for(node) for node in network.and_nodes() if rep(node) == node},
+    )
+
+
+def cover_luts(
+    candidates: LutCandidates, power_mode: str = "off", area_passes: int = 2
+) -> LUTNetwork:
+    """Select a LUT cover from the candidates and extract it.
+
+    Pass 1 picks depth-optimal cuts, later passes recover flow cost
+    under required-depth bounds; ``power_mode`` sets the flow cost.
+    """
+    if power_mode not in ("off", "tiebreak", "primary"):
+        raise ValueError(f"unknown power mode {power_mode!r}")
+    network = candidates.network
+    choices = candidates.choices
+    rep, phase = _class_maps(choices)
+
+    result = LUTNetwork(network.num_pis, name=network.name)
+    result.pi_names = list(network.pi_names)
+    result.po_names = list(network.po_names)
+    pi_ids = {node: i + 1 for i, node in enumerate(network.pis)}
+
+    if network.num_ands == 0:
+        for po in network.pos:
+            var = lit_var(po)
+            result.outputs.append((pi_ids.get(var, 0), bool(po & 1)))
+        return result
+
+    activities = candidates.activities
+    fanouts = candidates.fanouts
+    all_candidates = candidates.candidates
+    repr_nodes = list(all_candidates)
 
     state: dict[int, _NodeState] = {0: _NodeState()}
     for node in network.pis:
@@ -148,7 +210,6 @@ def map_luts(
         return depth, flow
 
     required_depth: dict[int, int] = {}
-    all_candidates = {node: candidates_for(node) for node in repr_nodes}
     for pass_index in range(1 + max(0, area_passes)):
         for node in repr_nodes:
             best = None

@@ -19,7 +19,8 @@ from .. import obs
 from .aig import AIG
 from .balance import balance
 from .choices import compute_choices
-from .lutmap import map_luts
+from .lutmap import cover_luts, lut_candidates
+from .memo import memoized
 from .mfs import mfs
 from .refactor import refactor
 from .resub import resub
@@ -114,6 +115,7 @@ def power_aware_restructure(
     power_mode: str = "primary",
     use_choices: bool = True,
     report: ScriptReport | None = None,
+    memo: dict | None = None,
 ) -> AIG:
     """Stage 2: ``dch [-p]; if [-p]; mfs [-p...]; strash``.
 
@@ -123,14 +125,35 @@ def power_aware_restructure(
     :func:`repro.synth.lutmap.map_luts`: ``"tiebreak"`` models ABC's
     out-of-the-box ``-p`` options, ``"primary"`` the paper's proposed
     cryogenic-aware cost hierarchy.
+
+    The choices and the LUT candidates do not depend on
+    ``power_mode``; with a ``memo`` (see :mod:`repro.synth.memo`) a
+    second mode on the same network reuses them.
+
+    If the re-hashed network has more than 1.3x the input's ANDs, the
+    result is discarded and the input is returned (cleaned up), so
+    stage 2 leaves that circuit unchanged; each such fallback counts
+    ``synth.power_restructure.fallback``.
     """
     report = report if report is not None else ScriptReport()
     report.record("start", aig)
     power_aware = power_mode != "off"
     with obs.span("synth.dch", enabled=use_choices):
-        choices = compute_choices(aig) if use_choices else None
+        choices = (
+            memoized(memo, "dch", aig, (), lambda: compute_choices(aig))
+            if use_choices
+            else None
+        )
     with obs.span("synth.lutmap", k=k, power_mode=power_mode) as sp:
-        network = map_luts(aig, k=k, power_mode=power_mode, choices=choices)
+        # One expression, so that without a memo the candidates are
+        # freed before mfs runs.
+        network = cover_luts(
+            memoized(
+                memo, "lutmap.candidates", aig, (k, use_choices),
+                lambda: lut_candidates(aig, k=k, choices=choices),
+            ),
+            power_mode=power_mode,
+        )
         sp.set(luts=network.num_luts if hasattr(network, "num_luts") else None)
     activities = None
     if power_aware:
@@ -153,5 +176,6 @@ def power_aware_restructure(
     report.record("strash", result)
     if result.num_ands > aig.num_ands * 1.3:
         # LUT round-trip can inflate weak structures; keep the input.
+        obs.count("synth.power_restructure.fallback")
         return _maybe_miscompile(aig.cleanup())
     return _maybe_miscompile(result)

@@ -2,6 +2,9 @@
 
 import argparse
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +53,43 @@ class TestParser:
             main([*command, "--kernel", "batch"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
+
+def _documented_commands() -> list[tuple[str, list[str]]]:
+    """``(file:line, argv)`` of every ``python -m repro`` line in the docs.
+
+    Covers README.md and docs/*.md; a leading ``$ `` prompt and
+    ``NAME=value`` environment assignments are dropped, as is a
+    trailing ``# comment``.
+    """
+    root = Path(__file__).resolve().parents[1]
+    commands = []
+    for doc in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        for number, line in enumerate(doc.read_text().splitlines(), 1):
+            text = line.strip().removeprefix("$ ")
+            if "python -m repro" not in text:
+                continue
+            words = shlex.split(text, comments=True)
+            while words and re.fullmatch(r"[A-Z_]+=.*", words[0]):
+                words.pop(0)
+            if words[:3] == ["python", "-m", "repro"]:
+                commands.append((f"{doc.name}:{number}", words[3:]))
+    return commands
+
+
+class TestDocumentedCommands:
+    def test_every_documented_command_parses(self):
+        """Each command line the docs show is one the parser accepts
+        (parsed only, not run)."""
+        commands = _documented_commands()
+        assert len(commands) >= 22
+        rejected = []
+        for where, argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                rejected.append(f"{where}: {shlex.join(argv)}")
+        assert not rejected, rejected
 
 
 class TestCommands:
@@ -265,6 +305,29 @@ class TestEvaluateAndCache:
         entry = data["ctrl"]["p_d_a"]
         assert entry["power"]["total_w"] > 0
         assert entry["optimization_trace"]  # satellite: trajectory in --json
+
+    def test_evaluate_records_qor_per_circuit_and_scenario(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "eval.json"
+        assert main([
+            "evaluate", "ctrl", "int2float", "--preset", "small", "--vectors", "64",
+            "--json", str(out),
+        ]) == 0
+        dump = json.loads(out.read_text())
+        (record,) = ledger.read(os.environ["REPRO_LEDGER"])
+        assert set(record["qor"]) == {"ctrl", "int2float"}
+        for circuit, scenarios in dump.items():
+            assert set(record["qor"][circuit]) == {"baseline", "p_a_d", "p_d_a"}
+            for scenario, entry in scenarios.items():
+                assert record["qor"][circuit][scenario] == {
+                    "ands": entry["aig_nodes"],
+                    "depth": entry["aig_depth"],
+                    "gates": entry["num_gates"],
+                    "area_um2": entry["area_um2"],
+                    "delay_s": entry["critical_delay_s"],
+                    "power_w": entry["power"]["total_w"],
+                }
 
     @pytest.mark.no_chaos  # byte-identity across jobs counts on no injection
     def test_evaluate_jobs_matches_serial(self, tmp_path):

@@ -54,6 +54,15 @@ class TestRecord:
         assert record["config_fingerprint"]
         json.dumps(record)  # must be plain JSON
 
+    def test_qor_block(self):
+        qor = {"ctrl": {"p_d_a": {"ands": 43, "depth": 7, "gates": 36,
+                                  "area_um2": 7.5, "delay_s": 2.7e-11,
+                                  "power_w": 2.2e-4}}}
+        record = ledger.build_record(_make_tracer(), command="synthesize", qor=qor)
+        assert record["qor"] == qor
+        assert json.loads(json.dumps(record))["qor"] == qor
+        assert ledger.build_record(_make_tracer(), command="synthesize")["qor"] is None
+
     def test_sat_sweep_counters_are_persisted(self):
         tracer = obs.Tracer()
         with tracer:
@@ -129,8 +138,8 @@ class TestPersistence:
 
 class TestAnalysis:
     def _record(self, command="synthesize", duration=2.0, stages=None,
-                counters=None, fingerprint="abc"):
-        return {
+                counters=None, fingerprint="abc", qor=None):
+        record = {
             "schema": ledger.LEDGER_SCHEMA,
             "command": command,
             "duration_s": duration,
@@ -139,6 +148,34 @@ class TestAnalysis:
             "stages": stages or {},
             "counters": counters or {},
         }
+        if qor is not None:
+            record["qor"] = qor
+        return record
+
+    def test_compare_reports_qor_drift_apart_from_time(self):
+        metrics = {"ands": 43, "depth": 7, "gates": 36, "area_um2": 7.5,
+                   "delay_s": 2.7e-11, "power_w": 2.2e-4}
+        old = self._record(qor={"ctrl": {"baseline": metrics, "p_d_a": metrics}})
+        new = self._record(qor={
+            "ctrl": {"baseline": metrics, "p_d_a": {**metrics, "power_w": 2.1e-4}},
+            "dec": {"baseline": {"ands": 10}},
+        })
+        delta = ledger.compare(old, new)
+        # Identical timings: the drift is in the results alone.
+        assert delta["duration_delta"] == 0.0
+        assert delta["qor_drift"] == [
+            {"circuit": "ctrl", "scenario": "p_d_a", "metric": "power_w",
+             "old": 2.2e-4, "new": 2.1e-4},
+            {"circuit": "dec", "scenario": "baseline", "metric": "ands",
+             "old": None, "new": 10},
+        ]
+        assert ledger.compare(old, old)["qor_drift"] == []
+
+    def test_record_without_qor_reads_as_not_recorded(self):
+        with_qor = self._record(qor={"ctrl": {"baseline": {"ands": 43}}})
+        before_qor = self._record()
+        assert ledger.compare(before_qor, with_qor)["qor_drift"] is None
+        assert ledger.compare(with_qor, before_qor)["qor_drift"] is None
 
     def test_compare_stage_deltas(self):
         old = self._record(
@@ -222,10 +259,14 @@ class TestCliLedger:
         out = capsys.readouterr().out
         assert "2 record(s)" in out
 
+        assert set(records[1]["qor"]["ctrl"]["baseline"]) == {
+            "ands", "depth", "gates", "area_um2", "delay_s", "power_w"
+        }
         assert self._run(["ledger", "compare"]) == 0
         out = capsys.readouterr().out
         assert "total:" in out
         assert "flow." in out  # per-stage delta rows
+        assert any(line.startswith("qor: ") for line in out.splitlines())
 
         assert self._run(["ledger", "show"]) == 0
         shown = json.loads(capsys.readouterr().out)
@@ -233,6 +274,31 @@ class TestCliLedger:
 
         assert self._run(["ledger", "trend"]) == 0
         assert "synthesize" in capsys.readouterr().out
+
+    # Injected faults degrade each run's library differently, so two
+    # runs under an ambient fault plan are not identical.
+    @pytest.mark.no_chaos
+    def test_identical_runs_show_no_qor_drift(self, capsys):
+        args = ["synthesize", "ctrl", "--preset", "small", "-s", "baseline"]
+        assert self._run(args) == 0
+        assert self._run(args) == 0
+        capsys.readouterr()
+        assert self._run(["ledger", "compare"]) == 0
+        assert "qor: no drift" in capsys.readouterr().out.splitlines()
+
+    def test_compare_prints_qor_drift_and_missing_qor(self, capsys):
+        path = os.environ["REPRO_LEDGER"]
+        base = {"schema": ledger.LEDGER_SCHEMA, "command": "evaluate",
+                "duration_s": 1.0, "stages": {}, "counters": {}}
+        ledger.append(base, path)  # written before QoR was recorded
+        ledger.append({**base, "qor": {"ctrl": {"p_d_a": {"gates": 36}}}}, path)
+        ledger.append({**base, "qor": {"ctrl": {"p_d_a": {"gates": 35}}}}, path)
+        assert self._run(["ledger", "compare", "0", "1"]) == 0
+        assert "qor: not recorded" in capsys.readouterr().out.splitlines()
+        assert self._run(["ledger", "compare"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "qor: 1 value(s) drifted" in lines
+        assert "  ctrl/p_d_a gates: 36 -> 35" in lines
 
     def test_no_ledger_flag_skips_record(self):
         path = os.environ["REPRO_LEDGER"]

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.benchgen import build_circuit
 from repro.core import ArtifactCache, DesignContext, run_scenarios, using_cache
 from repro.resilience import (
@@ -182,6 +183,20 @@ class TestCrashSite:
         assert records[-1] == {"kind": "scenario", "key": "k1", "digest": "d1"}
 
 
+def _journaled_digests(results) -> list[str]:
+    """Digests ``run_scenarios`` journals: its healthy results only.
+
+    Degraded or guard-flagged results are never journaled.  The
+    module's library is characterized under the ambient fault plan, so
+    tier-1 sees healthy results and the chaos job degraded ones.
+    """
+    return sorted(
+        artifact_digest(result)
+        for result in results.values()
+        if not (result.is_degraded or result.guard_violations)
+    )
+
+
 class TestResumeDeterminism:
     """Kill after the first scenario; resume; outputs byte-identical."""
 
@@ -229,7 +244,10 @@ class TestResumeDeterminism:
                 resumed = run_scenarios(
                     aig, context=context, scenarios=scenarios, journal=journal
                 )
-            assert len(journal.completed_scenarios()) == len(scenarios)
+            # Exactly the healthy results are journaled.
+            assert sorted(journal.completed_scenarios().values()) == (
+                _journaled_digests(resumed)
+            )
         assert self._report(resumed) == reference
 
     def test_replay_skips_recomputation(self, tmp_path, library):
@@ -241,16 +259,22 @@ class TestResumeDeterminism:
                 first = run_scenarios(
                     aig, context=context, scenarios=["baseline"], journal=journal
                 )
-            with RunJournal.resume(path) as journal:
+            journaled = _journaled_digests(first)
+            assert sorted(journal.completed_scenarios().values()) == journaled
+            with RunJournal.resume(path) as journal, obs.Tracer() as tracer:
                 again = run_scenarios(
                     aig, context=context, scenarios=["baseline"], journal=journal
                 )
-            # Replay returns the cached object, not a recomputation,
-            # and journals no duplicate scenario record.
+            # A healthy result is replayed from the cache, not
+            # recomputed, and journals no duplicate scenario record; a
+            # degraded one was never journaled, so it is recomputed.
+            # Either way the result is the same.
+            assert tracer.counters.get("journal.replayed", 0) == len(journaled)
             assert artifact_digest(again["baseline"]) == artifact_digest(
                 first["baseline"]
             )
-            assert len(journal.completed_scenarios()) == 1
+            assert self._report(again) == self._report(first)
+            assert sorted(journal.completed_scenarios().values()) == journaled
 
     def test_digest_mismatch_forces_recompute(self, tmp_path, library):
         aig = build_circuit("ctrl", "small")

@@ -8,9 +8,12 @@ import random
 
 import pytest
 
+from repro import obs
+from repro.benchgen import build_circuit
 from repro.sat import assert_equivalent
 from repro.synth import (
     AIG,
+    ScriptReport,
     balance,
     compress2rs,
     compute_choices,
@@ -26,6 +29,8 @@ from repro.synth import (
     signal_probabilities,
     simulated_activities,
 )
+from repro.synth.lutmap import cover_luts, lut_candidates
+from repro.synth.memo import memoized
 
 
 def random_network(seed: int, n_pis=6, n_ops=80, n_pos=3) -> AIG:
@@ -214,6 +219,17 @@ class TestLutMapping:
         net = map_luts(g, k=6)
         assert net.depth() <= g.depth()
 
+    def test_one_candidate_set_covers_every_power_mode(self):
+        g = random_network(10, n_ops=120)
+        choices = compute_choices(g)
+        candidates = lut_candidates(g, k=6, choices=choices)
+        # Covering only reads the candidates: reusing them across
+        # modes (in either order) gives what map_luts gives alone.
+        for mode in ("primary", "tiebreak", "off", "primary"):
+            shared = cover_luts(candidates, power_mode=mode)
+            alone = map_luts(g, k=6, power_mode=mode, choices=choices)
+            assert shared.to_aig().structural_hash() == alone.to_aig().structural_hash()
+
 
 class TestChoices:
     def test_classes_found(self):
@@ -282,6 +298,27 @@ class TestScripts:
         assert_equivalent(g, result, f"c2rs seed {seed}")
         assert result.num_ands <= g.num_ands
 
+    @pytest.mark.parametrize(
+        "circuit, stage1_ands, strashed_ands, falls_back",
+        [("ctrl", 43, 66, True), ("int2float", 52, 61, False)],
+    )
+    def test_stage2_fallback_is_counted(
+        self, circuit, stage1_ands, strashed_ands, falls_back
+    ):
+        from repro.synth import power_aware_restructure
+
+        stage1 = compress2rs(build_circuit(circuit, "small"))
+        report = ScriptReport()
+        with obs.Tracer() as tracer:
+            result = power_aware_restructure(stage1, power_mode="primary", report=report)
+        assert (report.initial_size(), report.final_size()) == (stage1_ands, strashed_ands)
+        fallbacks = tracer.counters.get("synth.power_restructure.fallback", 0)
+        assert fallbacks == int(falls_back)
+        if falls_back:
+            assert result.structural_hash() == stage1.cleanup().structural_hash()
+        else:
+            assert result.num_ands == strashed_ands
+
     def test_stage2_equivalence(self):
         from repro.synth import power_aware_restructure
 
@@ -289,3 +326,22 @@ class TestScripts:
         for mode in ("tiebreak", "primary"):
             result = power_aware_restructure(g, power_mode=mode)
             assert_equivalent(g, result, f"stage2 {mode}")
+
+
+class TestMemo:
+    def test_without_a_memo_every_call_computes(self):
+        g = random_network(17)
+        values = [memoized(None, "kind", g, (), lambda: object()) for _ in range(2)]
+        assert values[0] is not values[1]
+
+    def test_keyed_by_kind_structure_and_params(self):
+        memo = {}
+        g = random_network(18)
+        twin = random_network(18)  # another object, the same structure
+        assert twin is not g and twin.structural_hash() == g.structural_hash()
+        first = memoized(memo, "kind", g, (1,), lambda: object())
+        assert memoized(memo, "kind", twin, (1,), lambda: object()) is first
+        assert memoized(memo, "kind", g, (2,), lambda: object()) is not first
+        assert memoized(memo, "other", g, (1,), lambda: object()) is not first
+        assert memoized(memo, "kind", random_network(19), (1,), lambda: object()) is not first
+        assert len(memo) == 4
