@@ -105,7 +105,7 @@ _ARC_TABLE_FIELDS = (
 )
 
 
-def _sanitize_cell(cell: LibertyCell) -> LibertyCell:
+def sanitize_cell(cell: LibertyCell) -> LibertyCell:
     """Repair non-finite NLDM points in place of failing the build.
 
     Any arc with repaired points is recorded in
@@ -180,7 +180,7 @@ def characterize_library(
                 # progress; elsewhere this is a no-op.
                 task_heartbeat()
                 with obs.span("charlib.cell", cell=cell.name):
-                    result = _sanitize_cell(
+                    result = sanitize_cell(
                         characterizer.characterize_cell(cell, slews, loads)
                     )
                     obs.count("charlib.cells")

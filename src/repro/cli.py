@@ -21,9 +21,8 @@ Exposes the paper's pipeline the way a user drives ABC + SiliconSmart
 out.jsonl`` (stream the full trace to a file); see
 ``docs/OBSERVABILITY.md``.  Flow commands also accept ``--cache-dir
 [DIR]`` (persist characterized libraries and optimized networks to an
-on-disk content-addressed cache, default ``~/.cache/repro``) and
-``evaluate``/``compare`` take ``--jobs N`` for parallel experiment
-fan-out; see ``docs/ARCHITECTURE.md``.
+on-disk content-addressed cache, default ``~/.cache/repro``); see
+``docs/ARCHITECTURE.md``.
 
 ``synthesize`` and ``evaluate`` additionally append one distilled
 record per run (config fingerprint, per-stage wall times, cache and
@@ -42,10 +41,11 @@ accept ``--journal PATH`` (record a write-ahead run journal; implies a
 disk cache at ``PATH.cache`` unless ``--cache-dir``/``REPRO_CACHE_DIR``
 says otherwise) and ``--resume PATH`` (replay completed work from an
 interrupted run's journal — the resumed run's ``--json`` output is
-byte-identical to an uninterrupted one).  ``--isolate process`` moves
-the ``--jobs`` fan-out into supervised worker subprocesses with a
-hang/memory watchdog.  SIGINT/SIGTERM flush the journal and trace
-sinks, print the resume command, and exit 130.
+byte-identical to an uninterrupted one).  ``--isolate process`` runs
+each scenario's synthesis in a supervised worker subprocess (one
+worker per CPU at most) with a hang/memory watchdog; by default
+everything runs in the calling process.  SIGINT/SIGTERM flush the
+journal and trace sinks, print the resume command, and exit 130.
 
 Run ``python -m repro <subcommand> --help`` for the options.
 """
@@ -179,13 +179,13 @@ def _journal_config(args: argparse.Namespace) -> dict:
 
     Everything that determines the *results* goes in (command,
     circuits, scenario, corner, signoff knobs); knobs that only change
-    *how* the run executes (jobs, isolation, tracing, output paths,
-    strictness) stay out, so a resume may legitimately use different
-    parallelism than the interrupted run.
+    *how* the run executes (isolation, tracing, output paths,
+    strictness) stay out, so a resume may legitimately use a different
+    isolation tier than the interrupted run.
     """
     excluded = {
         "func", "journal", "resume", "trace", "profile", "cache_dir",
-        "faults", "jobs", "isolate", "json", "output", "report", "strict",
+        "faults", "isolate", "json", "output", "report", "strict",
         "ledger", "no_ledger",
     }
     # The retired SPICE kernel flag's default: keeps older journal and ledger digests valid.
@@ -323,9 +323,10 @@ def _add_journal_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--isolate", choices=["thread", "process"], default="thread",
-        help="isolation tier for the --jobs fan-out: 'process' runs "
-             "each worker as a supervised subprocess with a "
-             "hang/memory watchdog (see docs/ROBUSTNESS.md)",
+        help="where scenarios synthesize: 'thread' runs them in the "
+             "calling process; 'process' runs each in a supervised "
+             "subprocess with a hang/memory watchdog, one worker per "
+             "CPU at most (see docs/ROBUSTNESS.md)",
     )
 
 
@@ -399,7 +400,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             aig,
             context=context,
             scenarios=[args.scenario],
-            jobs=args.jobs,
             isolate=args.isolate,
             journal=args._journal,
         )
@@ -448,7 +448,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 aig,
                 context=context,
                 vectors=args.vectors,
-                jobs=args.jobs,
+                jobs=os.cpu_count() or 1,  # sizes only the --isolate process pool
                 isolate=args.isolate,
                 journal=args._journal,
             )
@@ -481,7 +481,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     circuits = args.circuits or None
     rows = figure3_synthesis_comparison(
         circuits=circuits, preset=args.preset, temperature=args.temperature,
-        jobs=args.jobs,
     )
     header = (
         f"{'circuit':12s} {'base P[uW]':>11} {'base D[ps]':>11}"
@@ -729,8 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", help="mapped Verilog output path")
     p.add_argument("--report", "-r", help="signoff report output path")
     p.add_argument("--json", "-j", help="JSON result (FlowResult.to_dict) output path")
-    p.add_argument("--jobs", "-J", type=int, default=1,
-                   help="workers for the scenario fan-out")
     _add_obs_flags(p)
     _add_ledger_flags(p)
     _add_cache_flag(p)
@@ -743,8 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", "-t", type=float, default=10.0)
     p.add_argument("--preset", default="default", choices=["small", "default", "large"])
     p.add_argument("--vectors", type=int, default=512, help="power signoff vectors")
-    p.add_argument("--jobs", "-J", type=int, default=1,
-                   help="worker threads for scenario fan-out")
     p.add_argument("--json", "-j", help="JSON results output path")
     _add_obs_flags(p)
     _add_ledger_flags(p)
@@ -757,8 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuits", nargs="*", help="circuit names (default: all)")
     p.add_argument("--temperature", "-t", type=float, default=10.0)
     p.add_argument("--preset", default="default", choices=["small", "default", "large"])
-    p.add_argument("--jobs", "-J", type=int, default=1,
-                   help="worker threads for circuit fan-out")
     _add_obs_flags(p)
     _add_cache_flag(p)
     p.set_defaults(func=_cmd_compare)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import math
 import os
 import pickle
 import threading
@@ -44,22 +43,10 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from .. import obs
-from ..resilience import faults
+from ..resilience import env_float, faults
 from ..resilience.errors import CacheCorruptionError
 
 _MISSING = object()
-
-
-def _env_float(name: str) -> float | None:
-    """Parse an optional size knob (invalid, non-finite or negative -> None)."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) and value >= 0 else None
 
 
 # ----------------------------------------------------------------------
@@ -189,10 +176,10 @@ class ArtifactCache:
         self.cache_dir = Path(cache_dir).expanduser() if cache_dir else None
         self.max_memory_entries = max_memory_entries
         self.max_disk_mb = (
-            _env_float("REPRO_CACHE_MAX_MB") if max_disk_mb is None else max_disk_mb
+            env_float("REPRO_CACHE_MAX_MB") if max_disk_mb is None else max_disk_mb
         )
         if max_corrupt_entries is None:
-            env = _env_float("REPRO_CACHE_MAX_CORRUPT")
+            env = env_float("REPRO_CACHE_MAX_CORRUPT")
             max_corrupt_entries = 16 if env is None else int(env)
         self.max_corrupt_entries = max_corrupt_entries
         self._memory: OrderedDict[str, Any] = OrderedDict()

@@ -10,8 +10,7 @@ bundles the temperature corner, the characterized library, the
 signoff configuration, the power-vector seed, and the
 :class:`repro.core.artifacts.ArtifactCache`, and it memoizes the
 derived products (library fingerprint, technology view) so they are
-built exactly once and shared by every stage, scenario, and worker
-thread.
+built exactly once and shared by every stage, scenario, and circuit.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ class DesignContext:
     """Immutable-by-convention bundle of flow-wide state.
 
     Build one per (technology, temperature) corner and share it across
-    circuits, scenarios, and worker threads — every derived product is
+    circuits and scenarios — every derived product is
     memoized through the artifact cache, so sharing the context is
     what makes characterization and view construction one-time costs.
     """

@@ -4,13 +4,11 @@ Each ``figure*`` function returns plain data structures and can print
 the same rows/series the paper reports; the pytest-benchmark targets
 in ``benchmarks/`` are thin wrappers around these.
 
-Every harness accepts a ``jobs`` parameter: independent
-(circuit x scenario x temperature) units fan out over worker threads
-via :func:`repro.obs.parallel_map`, with deterministic input-ordered
-results and tracing spans that survive into the workers.  Shared
-products (characterized libraries, match-table views, optimized AIGs)
-are deduplicated through the content-addressed artifact cache, so the
-parallel workers never repeat one another's work.
+Each harness runs its (circuit x scenario x temperature) units one
+after another in the calling thread.  Shared products (characterized
+libraries, match-table views, optimized AIGs) are deduplicated through
+the content-addressed artifact cache, so no unit repeats another's
+work.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import obs
 from ..benchgen.suite import build_suite
 from ..charlib.nldm import Library
 from ..device.bsimcmg import default_nfet_5nm, default_pfet_5nm
@@ -43,7 +40,6 @@ class Figure1Row:
 def figure1_model_validation(
     temperatures: tuple[float, ...] = (300.0, 200.0, 77.0, 10.0),
     seed: int = 2023,
-    jobs: int = 1,
 ) -> list[Figure1Row]:
     """Calibrate the cryo model against synthetic measurements and
     report the per-condition residuals behind Fig. 1(b, c)."""
@@ -65,8 +61,8 @@ def figure1_model_validation(
 
     specs = [("n", default_nfet_5nm()), ("p", default_pfet_5nm())]
     rows: list[Figure1Row] = []
-    for chunk in obs.parallel_map(calibrate_polarity, specs, jobs):
-        rows.extend(chunk)
+    for spec in specs:
+        rows.extend(calibrate_polarity(spec))
     return rows
 
 
@@ -94,22 +90,17 @@ class DistributionSummary:
 
 def figure2ab_cell_distributions(
     temperatures: tuple[float, ...] = (300.0, 10.0),
-    jobs: int = 1,
 ) -> dict[str, dict[float, DistributionSummary]]:
     """Delay/energy distributions of the full 200-cell library."""
-
-    def summarize(temperature: float):
-        library = DesignContext.default(temperature).library
-        return (
-            DistributionSummary.from_values(temperature, library.delay_distribution()),
-            DistributionSummary.from_values(temperature, library.energy_distribution()),
-        )
-
     out: dict[str, dict[float, DistributionSummary]] = {"delay": {}, "energy": {}}
-    summaries = obs.parallel_map(summarize, temperatures, jobs)
-    for temperature, (delay, energy) in zip(temperatures, summaries):
-        out["delay"][temperature] = delay
-        out["energy"][temperature] = energy
+    for temperature in temperatures:
+        library = DesignContext.default(temperature).library
+        out["delay"][temperature] = DistributionSummary.from_values(
+            temperature, library.delay_distribution()
+        )
+        out["energy"][temperature] = DistributionSummary.from_values(
+            temperature, library.energy_distribution()
+        )
     return out
 
 
@@ -132,7 +123,6 @@ def figure2c_power_breakdown(
     vectors: int = 256,
     clock_period: float = 1.0e-9,
     pi_activity: float = 0.2,
-    jobs: int = 1,
 ) -> list[PowerShareRow]:
     """Leakage/internal/switching shares on EPFL circuits, per corner.
 
@@ -170,7 +160,7 @@ def figure2c_power_breakdown(
             switching_share=report.switching_share,
         )
 
-    return obs.parallel_map(breakdown, tasks, jobs)
+    return [breakdown(task) for task in tasks]
 
 
 def average_shares(rows: list[PowerShareRow], temperature: float) -> tuple[float, float, float]:
@@ -212,14 +202,12 @@ def figure3_synthesis_comparison(
     vectors: int = 512,
     library: Library | None = None,
     use_choices: bool = True,
-    jobs: int = 1,
 ) -> list[Figure3Row]:
     """Run the three scenarios over the suite; the Fig. 3 data.
 
     One :class:`DesignContext` is shared by every circuit, so the
     library view is built once and stage outputs dedupe through the
-    artifact cache; with ``jobs > 1`` circuits fan out over worker
-    threads (results stay in sorted-circuit order).
+    artifact cache.  Rows come in sorted-circuit order.
     """
     if library is not None:
         context = DesignContext.from_library(library)
@@ -244,7 +232,7 @@ def figure3_synthesis_comparison(
             row.delay[scenario] = results[scenario].critical_delay
         return row
 
-    return obs.parallel_map(compare, sorted(suite.items()), jobs)
+    return [compare(item) for item in sorted(suite.items())]
 
 
 def figure3_summary(rows: list[Figure3Row]) -> dict[str, dict[str, float]]:

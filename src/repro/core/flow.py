@@ -39,6 +39,7 @@ from ..mapping.cost import CostPolicy, baseline_power_aware, p_a_d, p_d_a
 from ..mapping.netlist import MappedNetlist
 from ..mapping.techmap import TechnologyMapper
 from ..resilience.guards import netlist_guard, synthesis_guard
+from ..resilience.isolation import process_map
 from ..resilience.journal import RunJournal, artifact_digest
 from ..sta.power import PowerAnalyzer, PowerReport
 from ..sta.timing import SignoffConfig, StaticTimingAnalyzer, TimingReport
@@ -143,9 +144,9 @@ class CryoSynthesisFlow:
 
     Accepts either a bare :class:`Library` (a private
     :class:`DesignContext` is built around it) or an explicit shared
-    ``context`` — the latter is what lets scenarios, circuits, and
-    worker threads share the characterized library, the match-table
-    view, and every cached stage output.
+    ``context`` — the latter is what lets scenarios and circuits share
+    the characterized library, the match-table view, and every cached
+    stage output.
     """
 
     def __init__(
@@ -398,17 +399,18 @@ def run_scenarios(
     Scenarios share one :class:`DesignContext` (one match-table view,
     one artifact cache), so stage 1 is computed once and stage 2 once
     per distinct stage-2 power mode; every map has its own cache key.
-    When more than one scenario is computed on threads, they also
-    share one memo (:mod:`repro.synth.memo`) of the work that depends
-    on the network alone: stage 2's structural choices and LUT
+    By default (``isolate="thread"``) the scenarios run one after
+    another in the calling thread.  When more than one is computed,
+    they also share one memo (:mod:`repro.synth.memo`) of the work that
+    depends on the network alone: stage 2's structural choices and LUT
     candidates once per circuit, the mapper's cuts and activities once
-    per distinct optimized network.  The memo lives only until this
-    call's synthesis fan-out ends; it is never cached, and it changes
-    no result, cache key or journal record.  With ``jobs > 1`` the scenario
-    runs (and their signoffs) fan out over worker threads with
-    deterministic, scenario-ordered results; ``isolate="process"``
-    moves the synthesis fan-out into supervised worker subprocesses
-    (:mod:`repro.resilience.isolation`).
+    per distinct optimized network.  The memo lives only until the
+    last scenario is synthesized; it is never cached, and it changes
+    no result, cache key or journal record.  ``isolate="process"``
+    runs the scenarios' synthesis instead in up to ``jobs`` supervised
+    worker subprocesses (:mod:`repro.resilience.isolation`), with
+    scenario-ordered results; ``jobs`` sizes only that pool.  Signoff
+    always runs here, in scenario order.
 
     Crash safety: with a ``journal``, every fully signed-off scenario
     result is cached and commits a ``scenario`` record carrying its
@@ -420,6 +422,8 @@ def run_scenarios(
     byte-identical output.  Degraded or guard-flagged results are never
     cached or journaled.
     """
+    if isolate not in ("thread", "process"):
+        raise ValueError(f"isolate must be 'thread' or 'process', not {isolate!r}")
     if context is None:
         if library is None:
             raise ValueError("provide a characterized library or a DesignContext")
@@ -461,7 +465,6 @@ def run_scenarios(
         )
         for scenario in fresh
     }
-    labels = [f"{aig.name}/{scenario}" for scenario in fresh]
     if fresh:
         if isolate == "process":
             cache_dir = context.cache.cache_dir
@@ -477,30 +480,20 @@ def run_scenarios(
                 )
                 for scenario in fresh
             ]
-            outs = obs.parallel_map(
-                _scenario_task, payloads, jobs, labels=labels, isolate="process"
-            )
+            labels = [f"{aig.name}/{scenario}" for scenario in fresh]
+            outs = process_map(_scenario_task, payloads, jobs, labels=labels)
+            results.update(zip(fresh, outs))
         else:
             memo = {} if len(fresh) > 1 else None
-
-            def run_one(scenario: str) -> FlowResult:
+            for scenario in fresh:
                 with obs.span("flow.scenario", circuit=aig.name, scenario=scenario):
-                    return flows[scenario].run(aig, memo=memo)
-
-            outs = obs.parallel_map(run_one, fresh, jobs, labels=labels)
+                    results[scenario] = flows[scenario].run(aig, memo=memo)
             memo = None  # the shared work is not kept through signoff
-        results.update(zip(fresh, outs))
 
     slowest = max(result.critical_delay for result in results.values())
     clock_period = max(slowest * clock_margin, 1e-12)
-
-    def signoff_one(scenario: str) -> None:
-        flow = flows.get(scenario) or CryoSynthesisFlow(
-            scenario=scenario, use_choices=use_choices, context=context
-        )
-        flow.signoff_power(results[scenario], clock_period, vectors=vectors)
-
-    obs.parallel_map(signoff_one, fresh, jobs, labels=labels)
+    for scenario in fresh:
+        flows[scenario].signoff_power(results[scenario], clock_period, vectors=vectors)
 
     if journal is not None:
         for scenario in fresh:

@@ -12,8 +12,8 @@ The runner is what generalizes the old hand-rolled
 ``optimized_cache``/``stage2_power_mode`` sharing in
 ``run_scenarios``: two scenarios whose stage-2 parameters agree now
 produce the *same cache key* and therefore share the computation
-automatically — across scenarios, circuits, temperatures, worker
-threads, and (with a disk-backed cache) process restarts.
+automatically — across scenarios, circuits, temperatures, and (with
+a disk-backed cache) worker subprocesses and process restarts.
 
 Observability: each stage executes under a ``flow.<name>`` span
 carrying a ``cache`` attribute (``"hit"``/``"miss"``/``"uncached"``),

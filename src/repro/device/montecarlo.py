@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .. import obs
 from ..pdk.technology import Technology, cryo5_technology
 from .bsimcmg import CryoFinFET, FinFETParams
 
@@ -67,23 +66,18 @@ def mc_device_metric(
     temperature: float,
     n_samples: int = 64,
     seed: int = 0,
-    jobs: int = 1,
 ) -> MonteCarloResult:
     """Monte-Carlo sweep of a scalar device metric.
 
     ``metric(device, temperature) -> float`` is evaluated on each
     sampled :class:`CryoFinFET`.  All parameter sets are drawn up
-    front from one sequential RNG stream, so the result is identical
-    for any ``jobs`` value; the metric evaluations then fan out over
-    ``jobs`` workers (:func:`repro.obs.parallel_map`).
+    front from one sequential RNG stream.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     rng = np.random.default_rng(seed)
     devices = [CryoFinFET(sample_params(base, rng)) for _ in range(n_samples)]
-    values = np.asarray(
-        obs.parallel_map(lambda dev: float(metric(dev, temperature)), devices, jobs=jobs)
-    )
+    values = np.asarray([float(metric(dev, temperature)) for dev in devices])
     return MonteCarloResult(temperature, values)
 
 
@@ -108,16 +102,16 @@ def mc_cell_delay(
     n_samples: int = 48,
     seed: int = 0,
     technology: Technology | None = None,
-    jobs: int = 1,
 ) -> MonteCarloResult:
     """Monte-Carlo distribution of one cell's typical delay [s].
 
     Each sample perturbs both device polarities and re-characterizes
-    the cell with the analytic backend; the per-sample
-    characterizations fan out over ``jobs`` workers with results
-    independent of the worker count (sampling happens up front).
+    the cell with the analytic backend (sampling happens up front).
+    Non-finite measurements are repaired as in a library build, so one
+    failed point degrades its sample instead of making the mean NaN.
     """
     from ..charlib.analytic import AnalyticCharacterizer
+    from ..charlib.engine import sanitize_cell
 
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -125,10 +119,10 @@ def mc_cell_delay(
 
     def one(tech_i: Technology) -> float:
         characterizer = AnalyticCharacterizer(tech_i, temperature)
-        return characterizer.characterize_cell(cell_template).typical_delay()
+        return sanitize_cell(characterizer.characterize_cell(cell_template)).typical_delay()
 
     samples = _sample_technologies(technology, n_samples, seed)
-    values = np.asarray(obs.parallel_map(one, samples, jobs=jobs))
+    values = np.asarray([one(tech_i) for tech_i in samples])
     return MonteCarloResult(temperature, values)
 
 
@@ -138,7 +132,6 @@ def mc_cell_leakage(
     n_samples: int = 48,
     seed: int = 0,
     technology: Technology | None = None,
-    jobs: int = 1,
 ) -> MonteCarloResult:
     """Monte-Carlo distribution of one cell's average leakage [W]."""
     from ..charlib.analytic import AnalyticCharacterizer
@@ -152,5 +145,5 @@ def mc_cell_leakage(
         return characterizer.characterize_cell(cell_template).leakage_average
 
     samples = _sample_technologies(technology, n_samples, seed)
-    values = np.asarray(obs.parallel_map(one, samples, jobs=jobs))
+    values = np.asarray([one(tech_i) for tech_i in samples])
     return MonteCarloResult(temperature, values)

@@ -19,7 +19,6 @@ surface (``--trace``, ``--profile``, ``repro report-trace``).
 """
 
 from . import ledger, telemetry
-from .parallel import effective_jobs, parallel_map
 from .sinks import InMemorySink, JsonlSink, Sink, TraceFormatWarning, read_jsonl
 from .summary import SummaryNode, build_summary, render_summary
 from .telemetry import ResourceMonitor
@@ -54,6 +53,4 @@ __all__ = [
     "SummaryNode",
     "build_summary",
     "render_summary",
-    "parallel_map",
-    "effective_jobs",
 ]

@@ -129,9 +129,9 @@ def graft(
         new_id = id_map[wire["id"]]
         parent_id = id_map.get(wire.get("parent"), fallback)
         if parent_id == new_id:
-            # A snapshot taken in a forked worker can carry a stale
-            # cross-process parent id that collides with the span's own
-            # remapped id; never emit a self-cycle.
+            # A malformed snapshot can carry a stale parent id that
+            # collides with the span's own remapped id; never emit a
+            # self-cycle.
             parent_id = fallback
         record = SpanRecord(
             span_id=new_id,

@@ -35,7 +35,6 @@ __all__ = [
     "SpanRecord",
     "Tracer",
     "current_tracer",
-    "reset_context",
     "span",
     "traced",
     "count",
@@ -303,19 +302,6 @@ def _hist_stats(values: list[float]) -> dict[str, float]:
 def current_tracer() -> Tracer | None:
     """The tracer installed in the current context, if any."""
     return _ACTIVE.get()
-
-
-def reset_context() -> None:
-    """Detach any inherited tracer/active span from this context.
-
-    A forked worker process inherits the parent's contextvars — tracer
-    *and* open span — but must not report into them: the parent objects
-    on its side of the fork are dead copies, and a child tracer
-    installed on top would silently parent its spans under the stale
-    inherited span.  Worker entry points call this first.
-    """
-    _ACTIVE.set(None)
-    _CURRENT_SPAN.set(None)
 
 
 def span(name: str, **attrs: Any):

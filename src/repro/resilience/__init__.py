@@ -17,7 +17,7 @@ Six pieces, adopted across the pipeline:
   sweep resumable to byte-identical output;
 * :mod:`repro.resilience.isolation` — supervised worker subprocesses
   with heartbeats, a stall/memory watchdog, and crash restart
-  (``parallel_map(..., isolate="process")``);
+  (``run_scenarios(..., isolate="process")``);
 * :mod:`repro.resilience.guards` — stage-boundary invariant checks
   (bounded CEC plus AIG/library/netlist structural invariants) that
   quarantine wrong artifacts before they can enter the cache.
@@ -37,7 +37,6 @@ from .errors import (
     DegradedError,
     GuardViolation,
     InjectedCrashError,
-    InjectedFaultError,
     JournalError,
     JournalLockedError,
     JournalMismatchError,
@@ -45,7 +44,6 @@ from .errors import (
     ParallelExecutionError,
     PermanentError,
     ReproError,
-    TimeoutExceeded,
     TransientError,
     WorkerCrashError,
     WorkerHungError,
@@ -54,7 +52,7 @@ from .errors import (
     is_transient,
 )
 from .faults import ENV_VAR, FaultPlan, FaultSpec, injecting, install, parse_plan
-from .isolation import process_map, task_heartbeat
+from .isolation import env_float, process_map, task_heartbeat
 from .journal import (
     RunJournal,
     acquire_writer_lock,
@@ -76,13 +74,11 @@ __all__ = [
     "CalibrationError",
     "GuardViolation",
     "InjectedCrashError",
-    "InjectedFaultError",
     "JournalError",
     "JournalLockedError",
     "JournalMismatchError",
     "MeasurementError",
     "ParallelExecutionError",
-    "TimeoutExceeded",
     "WorkerCrashError",
     "WorkerHungError",
     "WorkerMemoryError",
@@ -96,6 +92,7 @@ __all__ = [
     "injecting",
     "install",
     "parse_plan",
+    "env_float",
     "process_map",
     "task_heartbeat",
     "RunJournal",

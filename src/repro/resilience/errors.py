@@ -6,7 +6,7 @@ three kinds, carried on the exception class (or instance) as
 
 * ``transient`` — retrying (possibly with relaxed parameters) may
   succeed: Newton non-convergence, a corrupt disk-cache entry, a
-  timed-out stage, an injected chaos fault;
+  crashed or hung worker subprocess, an injected chaos fault;
 * ``permanent`` — retrying cannot help: bad configuration, a
   diverged calibration, an impossible request;
 * ``degraded`` — the operation *completed* but on a fallback path
@@ -84,25 +84,6 @@ class CacheCorruptionError(TransientError):
 class MeasurementError(TransientError):
     """A characterization measurement produced a non-physical value
     (NaN/inf delay, slew, or energy)."""
-
-
-class InjectedFaultError(TransientError):
-    """An error injected by the chaos harness at a site with no more
-    specific domain exception (e.g. ``parallel.worker``)."""
-
-
-class TimeoutExceeded(TransientError):
-    """A deadline or timeout expired before the work finished."""
-
-    def __init__(
-        self,
-        message: str = "",
-        *args,
-        site: str | None = None,
-        timeout_s: float | None = None,
-    ):
-        super().__init__(message, *args, site=site)
-        self.timeout_s = timeout_s
 
 
 class InjectedCrashError(PermanentError):

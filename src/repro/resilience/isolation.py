@@ -1,15 +1,14 @@
 """Subprocess worker isolation with heartbeats, watchdog, and restart.
 
-Thread-based fan-out (:func:`repro.obs.parallel.parallel_map`) shares
-one interpreter: a worker that segfaults, leaks unbounded memory, or
-spins forever takes the whole sweep with it, and a timed-out thread
-can only be abandoned, never reclaimed.  This module provides the
-stronger isolation tier behind the same interface —
-``parallel_map(..., isolate="process")`` delegates here — where each
-worker is a subprocess that can be *killed* and *restarted*:
+A flow run in the calling process shares one interpreter: a task that
+segfaults, leaks unbounded memory, or spins forever takes the whole
+sweep with it.  :func:`process_map` is the stronger tier
+(``run_scenarios(..., isolate="process")``, ``--isolate process`` on
+the CLI): each worker is a subprocess that can be *killed* and
+*restarted*:
 
 * **supervisor** (the parent): dispatches tasks over per-worker
-  queues, collects results, and doubles as the watchdog;
+  pipes, collects results, and doubles as the watchdog;
 * **heartbeats**: workers report liveness at dispatch and whenever
   long-running library code calls :func:`task_heartbeat` (the SPICE
   transient loop and the characterization engine do); the supervisor
@@ -31,7 +30,12 @@ worker is a subprocess that can be *killed* and *restarted*:
 * **restart + retry**: a crashed or killed worker is respawned, and
   its task is re-dispatched up to ``retries`` times (task-raised
   exceptions are *not* auto-retried here — they propagate with their
-  own classification for the caller's retry ladder to judge).
+  own classification for the caller's retry ladder to judge);
+* **no orphans**: the supervisor holds the only write end of each
+  worker's task pipe and the only read end of its upstream pipe, so
+  when the supervisor dies an idle worker reads EOF and exits, and a
+  busy one exits at its next :func:`task_heartbeat` or when its task
+  ends — quietly, with nobody left to report to.
 
 Rigged failures for tests: the ``parallel.hang`` fault site is
 consulted by the *supervisor* at dispatch time (keeping the decision
@@ -60,6 +64,7 @@ killed (hang/RSS watchdog) or crashes are lost with the worker; its
 from __future__ import annotations
 
 import contextlib
+import math
 import multiprocessing as mp
 import os
 import pickle
@@ -96,24 +101,21 @@ DEFAULT_TASK_TIMEOUT_S = 300.0
 SPAWN_GRACE_S = 20.0
 
 
-def _env_float(name: str) -> float | None:
+def env_float(name: str) -> float | None:
+    """Parse an optional non-negative knob from the environment.
+
+    Unset, unparsable, non-finite or negative values all read as
+    ``None`` (unset): a ``nan`` budget would switch a watchdog off and
+    a negative one would fire it at once.
+    """
     raw = os.environ.get(name, "").strip()
     if not raw:
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         return None
-
-
-def _start_method() -> str:
-    """Worker start method (``REPRO_MP_START`` override, default spawn).
-
-    ``spawn`` gives every worker a pristine interpreter — no inherited
-    locks mid-acquire, no shared caches — which is the point of the
-    isolation tier; ``fork`` is available for speed on POSIX.
-    """
-    return os.environ.get("REPRO_MP_START", "").strip() or "spawn"
+    return value if math.isfinite(value) and value >= 0 else None
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +132,9 @@ def task_heartbeat() -> None:
     Library code (the SPICE transient loop, per-cell characterization)
     calls this unconditionally: outside an isolated worker it costs
     one ``None`` check.  Inside a worker it posts a throttled beat the
-    supervisor's watchdog uses to distinguish *slow* from *stuck*.
+    supervisor's watchdog uses to distinguish *slow* from *stuck*.  A
+    worker whose supervisor has died exits here, quietly: its result
+    would have nowhere to go.
     """
     global _last_beat_sent
     if _worker_heartbeat is None:
@@ -139,8 +143,10 @@ def task_heartbeat() -> None:
     if now - _last_beat_sent < HEARTBEAT_THROTTLE_S:
         return
     _last_beat_sent = now
-    with contextlib.suppress(Exception):
+    try:
         _worker_heartbeat.send(("beat",))
+    except OSError:  # the supervisor's read end is gone
+        os._exit(0)
 
 
 def _encode_result(value: Any) -> bytes:
@@ -164,52 +170,53 @@ def _encode_error(exc: BaseException) -> bytes:
         return pickle.dumps(("error", fallback), protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _worker_main(worker_id: int, fn: Callable, task_q, conn) -> None:
-    """Worker loop: take ``(task_id, item, hang)`` tasks until ``None``.
+def _worker_main(worker_id: int, fn: Callable, task_conn, conn) -> None:
+    """Worker loop: take ``(task_id, item, hang, trace)`` tasks until ``None``.
 
     SIGINT is ignored — interrupt handling (journal flush, resume
     hint) belongs to the parent, which tears workers down explicitly.
+    EOF on the task pipe, or a broken upstream pipe, means the
+    supervisor died: the worker then returns without a traceback.
     """
     global _worker_heartbeat
     with contextlib.suppress(Exception):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # Under a fork start method the worker inherits the supervisor's
-    # contextvars — including the open ``isolation.process_map`` span.
-    # Detach them so the per-task child tracer starts a fresh tree
-    # (otherwise its root span parents under a stale cross-process id).
-    obs.tracer.reset_context()
     _worker_heartbeat = conn
-    with contextlib.suppress(Exception):
+    try:
         conn.send(("beat",))  # ready beat: ends the supervisor's spawn grace
-    while True:
-        task = task_q.get()
-        if task is None:
-            conn.close()
-            return
-        task_id, item, hang, trace = task
-        if hang:
-            # Rigged ``parallel.hang``: stop making progress (no
-            # heartbeats, no result) until the watchdog kills us.
-            while True:
-                time.sleep(TICK_S)
-        with contextlib.suppress(Exception):
+        while True:
+            task = task_conn.recv()
+            if task is None:
+                conn.close()
+                return
+            task_id, item, hang, trace = task
+            if hang:
+                # Rigged ``parallel.hang``: stop making progress (no
+                # heartbeats, no result) until the watchdog kills us,
+                # or the supervisor shuts down or dies.
+                while not task_conn.poll(TICK_S):
+                    pass
+                return
             conn.send(("beat",))  # task received; the stall clock restarts
-        # ``trace`` mirrors "the supervisor has an active tracer": only
-        # then is a child tracer worth its bookkeeping — its spans and
-        # raw metrics ride home with the result and are re-parented
-        # under the dispatching task span (repro.obs.telemetry).
-        child = obs.Tracer() if trace else None
-        if child is not None:
-            child.install()
-        try:
-            payload = _encode_result(fn(item))
-        except BaseException as exc:  # noqa: BLE001 — crossing process boundary
-            payload = _encode_error(exc)
-        finally:
+            # ``trace`` mirrors "the supervisor has an active tracer":
+            # only then is a child tracer worth its bookkeeping — its
+            # spans and raw metrics ride home with the result and are
+            # re-parented under the dispatching task span
+            # (repro.obs.telemetry).
+            child = obs.Tracer() if trace else None
             if child is not None:
-                child.uninstall()
-        task_telemetry = telemetry.snapshot(child) if child is not None else None
-        conn.send(("result", task_id, payload, task_telemetry))
+                child.install()
+            try:
+                payload = _encode_result(fn(item))
+            except BaseException as exc:  # noqa: BLE001 — crossing process boundary
+                payload = _encode_error(exc)
+            finally:
+                if child is not None:
+                    child.uninstall()
+            task_telemetry = telemetry.snapshot(child) if child is not None else None
+            conn.send(("result", task_id, payload, task_telemetry))
+    except (EOFError, OSError):
+        return  # the supervisor is gone: nobody is left to report to
 
 
 def _rss_mb(pid: int) -> float | None:
@@ -239,7 +246,7 @@ class _Task:
 
 
 class _Worker:
-    """Supervisor-side handle: process + dispatch queue + liveness.
+    """Supervisor-side handle: process + task pipe + liveness.
 
     The worker's upstream pipe is drained by a dedicated daemon
     thread that forwards results into the supervisor's (in-process,
@@ -250,15 +257,18 @@ class _Worker:
 
     def __init__(self, ctx, worker_id: int, fn, events_q: _queue.Queue):
         self.id = worker_id
-        self.task_q = ctx.SimpleQueue()
+        task_recv, self.task_conn = ctx.Pipe(duplex=False)
         self.conn, send_conn = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, fn, self.task_q, send_conn),
+            args=(worker_id, fn, task_recv, send_conn),
             daemon=True,
         )
         self.process.start()
-        send_conn.close()  # child holds the only write end now
+        # The child now holds the only task read end and the only
+        # upstream write end: its pipes break when either side dies.
+        task_recv.close()
+        send_conn.close()
         self.task: _Task | None = None
         self.last_beat = time.monotonic()
         self.ready = False  # flipped by the worker's first heartbeat
@@ -283,7 +293,10 @@ class _Worker:
         self.task = task
         self.last_beat = time.monotonic()
         task.attempts += 1
-        self.task_q.put((task.index, task.item, hang, trace))
+        # A worker that died since its last message breaks the pipe;
+        # the watchdog then sees it dead and retries the task.
+        with contextlib.suppress(OSError):
+            self.task_conn.send((task.index, task.item, hang, trace))
 
     def kill(self) -> None:
         with contextlib.suppress(Exception):
@@ -293,7 +306,7 @@ class _Worker:
         with contextlib.suppress(Exception):
             self.conn.close()
         with contextlib.suppress(Exception):
-            self.task_q.close()
+            self.task_conn.close()
 
 
 def _annotate(exc: BaseException, index: int, label: str) -> BaseException:
@@ -317,10 +330,12 @@ def process_map(
 ) -> list[Any]:
     """Map ``fn`` over ``items`` in supervised worker subprocesses.
 
-    Same contract as :func:`repro.obs.parallel.parallel_map` (ordered
-    results; ``fail_fast`` raises the first failure, ``collect`` runs
-    everything and aggregates into :class:`ParallelExecutionError`),
-    plus the isolation semantics described in the module docstring.
+    Results keep input order.  ``jobs`` caps the number of workers
+    (never more than one per item).  ``fail_fast`` raises the first
+    failure, annotated with its ``task_index`` and ``task_label``;
+    ``collect`` runs everything and aggregates into
+    :class:`ParallelExecutionError`.  The isolation semantics are
+    described in the module docstring.
 
     ``retries`` applies only to *worker* failures (crash, watchdog
     kill): the task is re-dispatched to a fresh worker that many extra
@@ -335,16 +350,14 @@ def process_map(
     if labels is not None and len(labels) != len(items):
         raise ValueError(f"{len(labels)} labels for {len(items)} items")
     if task_timeout_s is None:
-        task_timeout_s = _env_float("REPRO_WORKER_TIMEOUT_S")
+        task_timeout_s = env_float("REPRO_WORKER_TIMEOUT_S")
         if task_timeout_s is None:
             task_timeout_s = DEFAULT_TASK_TIMEOUT_S
     if max_rss_mb is None:
-        max_rss_mb = _env_float("REPRO_WORKER_MAX_RSS_MB")
+        max_rss_mb = env_float("REPRO_WORKER_MAX_RSS_MB")
 
-    from ..obs.parallel import effective_jobs
-
-    n_workers = max(1, min(effective_jobs(jobs), len(items)))
-    ctx = mp.get_context(_start_method())
+    n_workers = max(1, min(jobs, len(items)))
+    ctx = mp.get_context("spawn")
     events_q: _queue.Queue = _queue.Queue()  # fed by per-worker readers
     tracer = obs.current_tracer()  # telemetry forwarding on iff present
     peak_rss_mb = 0.0
@@ -548,7 +561,7 @@ def process_map(
                 obs.gauge("isolation.worker.peak_rss_mb", peak_rss_mb)
             for worker in workers.values():
                 with contextlib.suppress(Exception):
-                    worker.task_q.put(None)
+                    worker.task_conn.send(None)
             deadline = time.monotonic() + 2.0
             for worker in workers.values():
                 with contextlib.suppress(Exception):

@@ -170,7 +170,7 @@ class RunJournal:
 
     Use :meth:`create` for a fresh run and :meth:`resume` to reopen an
     interrupted one; both are context managers.  :meth:`record` is
-    thread-safe (scenario fan-out journals from worker threads).
+    thread-safe.
     """
 
     def __init__(

@@ -28,9 +28,7 @@ def memoized(
     The key is ``kind``, ``aig.structural_hash()`` and ``params``:
     ``params`` must name every argument ``compute`` reads besides the
     network.  Values are shared, not copied, so their consumers must
-    only read them.  Without a memo this is ``compute()``.  Two
-    threads may both miss and compute the same entry; the values are
-    equal, so either may be kept.
+    only read them.  Without a memo this is ``compute()``.
     """
     if memo is None:
         return compute()

@@ -1,5 +1,7 @@
 """Integration tests for the end-to-end cryogenic-aware flow."""
 
+import threading
+
 import pytest
 
 from repro.benchgen import build_circuit
@@ -26,6 +28,27 @@ class TestFlowBasics:
 
     def test_scenarios_registry(self):
         assert set(SCENARIOS) == {"baseline", "p_a_d", "p_d_a"}
+
+    def test_unknown_isolation_tier_rejected(self, library):
+        with pytest.raises(ValueError, match="isolate"):
+            run_scenarios(build_circuit("ctrl", "small"), library, isolate="fiber")
+
+    def test_in_process_scenarios_run_on_the_calling_thread(self, library, monkeypatch):
+        # ``jobs`` sizes only the process pool; in-process scenarios
+        # never leave the caller's thread.
+        threads = []
+        run = CryoSynthesisFlow.run
+
+        def recording_run(self, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(CryoSynthesisFlow, "run", recording_run)
+        results = run_scenarios(
+            build_circuit("ctrl", "small"), library, vectors=64, jobs=4
+        )
+        assert len(threads) == len(results) == 3
+        assert set(threads) == {threading.get_ident()}
 
     def test_stage2_power_modes(self, library):
         assert CryoSynthesisFlow(library, "baseline").stage2_power_mode == "tiebreak"

@@ -9,8 +9,6 @@ synthesize.
 """
 
 import json
-import sys
-import threading
 import weakref
 
 import pytest
@@ -22,9 +20,7 @@ from repro.core import (
     ArtifactCache,
     CryoSynthesisFlow,
     DesignContext,
-    figure3_synthesis_comparison,
     run_scenarios,
-    using_cache,
 )
 from repro.io import write_verilog
 from repro.mapping import techmap
@@ -102,41 +98,6 @@ class TestIdenticalResults:
         for scenario, result in alone.items():
             flows[scenario].signoff_power(result, clock, vectors=VECTORS)
             assert _snapshot(shared[scenario]) == _snapshot(result)
-
-    def test_threaded_scenarios_match_serial(self, library):
-        """Three scenario threads on one memo, switching often: entries
-        two threads both compute must not change any result."""
-        aig = build_circuit("int2float", "small")
-        serial = run_scenarios(aig, context=_fresh_context(library), vectors=VECTORS)
-        threaded = {}
-
-        def run_threaded():
-            threaded.update(run_scenarios(
-                aig, context=_fresh_context(library), vectors=VECTORS, jobs=3
-            ))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            worker = threading.Thread(target=run_threaded)
-            worker.start()
-            worker.join(timeout=300)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive()
-        assert {s: _snapshot(r) for s, r in threaded.items()} == {
-            s: _snapshot(r) for s, r in serial.items()
-        }
-
-    def test_threaded_circuits_match_serial(self):
-        rows = {}
-        for jobs in (1, 2):
-            with using_cache(ArtifactCache()):
-                rows[jobs] = figure3_synthesis_comparison(
-                    circuits=["ctrl", "int2float"], preset="small",
-                    vectors=VECTORS, jobs=jobs,
-                )
-        assert rows[2] == rows[1]
 
 
 class TestComputedOnce:

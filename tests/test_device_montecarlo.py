@@ -12,6 +12,7 @@ from repro.device.montecarlo import (
     sample_params,
 )
 from repro.pdk.catalog import make_inv
+from repro.resilience import FaultPlan, FaultSpec, injecting
 
 
 class TestSampling:
@@ -82,6 +83,17 @@ class TestCellMonteCarlo:
         warm = mc_cell_delay(make_inv(1), 300.0, n_samples=16)
         cold = mc_cell_delay(make_inv(1), 10.0, n_samples=16)
         assert cold.mean == pytest.approx(warm.mean, rel=0.25)
+
+    def test_failed_measurement_degrades_one_sample(self):
+        # A NaN delay point is repaired as in a library build: the
+        # sample stays finite, so the mean does too.  Check 24 is the
+        # midpoint of the first 7 x 7 rise table, the point
+        # ``typical_delay`` reads.
+        plan = FaultPlan([FaultSpec("charlib.measure", first_n=1, after=24)], seed=0)
+        with injecting(plan):
+            result = mc_cell_delay(make_inv(1), 300.0, n_samples=2)
+        assert plan.fires() == {"charlib.measure": 1}
+        assert np.all(np.isfinite(result.samples))
 
     @pytest.mark.no_chaos  # per-site fire counters advance between runs, breaking replay
     def test_reproducible(self):

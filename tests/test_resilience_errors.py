@@ -7,12 +7,10 @@ from repro.resilience import (
     CacheCorruptionError,
     CalibrationError,
     DegradedError,
-    InjectedFaultError,
     MeasurementError,
     ParallelExecutionError,
     PermanentError,
     ReproError,
-    TimeoutExceeded,
     TransientError,
     classify,
     is_transient,
@@ -44,17 +42,8 @@ class TestTaxonomy:
         assert TransientError("boom").site is None
 
     def test_domain_errors_are_transient(self):
-        for cls in (
-            CacheCorruptionError,
-            MeasurementError,
-            InjectedFaultError,
-            TimeoutExceeded,
-        ):
+        for cls in (CacheCorruptionError, MeasurementError):
             assert is_transient(cls("x")), cls
-
-    def test_timeout_carries_budget(self):
-        exc = TimeoutExceeded("late", timeout_s=2.5)
-        assert exc.timeout_s == 2.5
 
     def test_calibration_error_still_a_valueerror(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,11 @@ every task function lives at module level where pickle can find it.
 """
 
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from repro.resilience import (
     WorkerCrashError,
     WorkerHungError,
     WorkerMemoryError,
+    env_float,
     injecting,
 )
 from repro.resilience.isolation import process_map, task_heartbeat
@@ -44,6 +49,19 @@ def _slow_with_heartbeats(x):
         time.sleep(0.11)
         task_heartbeat()
     return x
+
+
+def _record_and_beat(item):
+    """Leave ``<pid>.pid``, beat for ``seconds``, then leave ``<pid>.done``."""
+    directory, seconds = item
+    pid = os.getpid()
+    Path(directory, f"{pid}.pid").touch()
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        time.sleep(0.02)
+        task_heartbeat()
+    Path(directory, f"{pid}.done").touch()
+    return pid
 
 
 def _allocate_and_stall(x):
@@ -159,13 +177,79 @@ class TestWatchdog:
             )
 
 
-class TestParallelMapDelegation:
-    def test_isolate_process_through_parallel_map(self):
-        results = obs.parallel_map(
-            _square, [2, 3, 4], jobs=2, isolate="process"
-        )
-        assert results == [4, 9, 16]
+class TestEnvKnobs:
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "knob", ["REPRO_WORKER_TIMEOUT_S", "REPRO_WORKER_MAX_RSS_MB"]
+    )
+    def test_invalid_value_reads_as_unset(self, monkeypatch, knob, raw):
+        # A negative budget or cap would kill every worker at once and a
+        # nan one would switch the watchdog off: both mean "unset".
+        monkeypatch.setenv(knob, raw)
+        assert env_float(knob) is None
+        assert process_map(_slow_with_heartbeats, [1], jobs=1) == [1]
 
-    def test_invalid_isolate_rejected(self):
-        with pytest.raises(ValueError, match="isolate"):
-            obs.parallel_map(_square, [1], jobs=2, isolate="fiber")
+
+#: A supervisor whose two workers are left behind when it is killed:
+#: one finishes a short task and idles, the other beats through a
+#: long one.
+_SUPERVISOR = """
+import sys
+from repro.resilience.isolation import process_map
+from tests.test_resilience_isolation import _record_and_beat
+
+process_map(_record_and_beat, [(sys.argv[1], 0.2), (sys.argv[1], 120.0)], jobs=2)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process; a zombie has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+def _wait_until(predicate, timeout_s: float) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/stat"), reason="needs Linux /proc"
+)
+class TestOrphanedWorkers:
+    def test_workers_exit_when_supervisor_is_killed(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        path = [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]
+        supervisor = subprocess.Popen(
+            [sys.executable, "-c", _SUPERVISOR, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+
+        def pids() -> list[int]:
+            return [int(p.stem) for p in tmp_path.glob("*.pid")]
+
+        try:
+            assert _wait_until(
+                lambda: len(pids()) == 2 and any(tmp_path.glob("*.done")), 120.0
+            ), "workers never started"
+            time.sleep(0.3)  # let the short task's worker settle into idling
+            supervisor.kill()
+            supervisor.wait(timeout=30)
+            assert _wait_until(
+                lambda: not any(_running(pid) for pid in pids()), 5.0
+            ), [pid for pid in pids() if _running(pid)]
+        finally:
+            if supervisor.poll() is None:
+                supervisor.kill()
+                supervisor.wait(timeout=30)
+            for pid in pids():
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)

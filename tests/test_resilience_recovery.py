@@ -273,7 +273,7 @@ class TestEndToEndFaultedEvaluation:
         with injecting(plan):
             library = characterize_library(cryo5_technology(), 10.0, cache=False)
             context = DesignContext.from_library(library, cache=ArtifactCache())
-            results = run_scenarios(aig, context=context, vectors=64, jobs=4)
+            results = run_scenarios(aig, context=context, vectors=64)
         assert set(results) == {"baseline", "p_a_d", "p_d_a"}
         assert plan.fires().get("charlib.measure", 0) > 0
         for result in results.values():
