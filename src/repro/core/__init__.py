@@ -11,7 +11,6 @@ from .artifacts import (
 )
 from .context import DesignContext
 from .flow import SCENARIOS, CryoSynthesisFlow, FlowResult, run_scenarios
-from .stages import FlowRunner, Stage
 from .sequential import (
     SequentialDesign,
     SequentialResult,
@@ -36,8 +35,6 @@ from .experiments import (
 __all__ = [
     "ArtifactCache",
     "DesignContext",
-    "FlowRunner",
-    "Stage",
     "cache_key",
     "config_digest",
     "default_cache",

@@ -201,7 +201,6 @@ def figure3_synthesis_comparison(
     temperature: float = 10.0,
     vectors: int = 512,
     library: Library | None = None,
-    use_choices: bool = True,
 ) -> list[Figure3Row]:
     """Run the three scenarios over the suite; the Fig. 3 data.
 
@@ -217,9 +216,7 @@ def figure3_synthesis_comparison(
 
     def compare(item: tuple[str, object]) -> Figure3Row:
         name, aig = item
-        results = run_scenarios(
-            aig, context=context, vectors=vectors, use_choices=use_choices
-        )
+        results = run_scenarios(aig, context=context, vectors=vectors)
         row = Figure3Row(
             circuit=name,
             baseline_power=results["baseline"].total_power,

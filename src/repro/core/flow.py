@@ -16,13 +16,16 @@ The paper's three-stage pipeline:
    * ``p_a_d`` — the proposed power -> area -> delay hierarchy;
    * ``p_d_a`` — the proposed power -> delay -> area hierarchy.
 
-The pipeline is expressed as declarative :class:`repro.core.stages.Stage`
-steps executed by a :class:`repro.core.stages.FlowRunner` over a shared
-:class:`repro.core.context.DesignContext`.  Stages 1–2 are
-content-addressed by the input AIG (they are technology-independent),
-stage 3 by the optimized AIG + library fingerprint + cost policy — so
-scenarios, temperatures, repeated runs, and (with a disk cache)
-separate processes share every computation they legally can.
+:meth:`CryoSynthesisFlow.run` runs the stages in order (``c2rs``,
+``power_restructure``, ``map``, ``sta``) against a shared
+:class:`repro.core.context.DesignContext`, each under a
+``flow.<stage>`` span.  Stages 1–2 are content-addressed by their
+input AIG (they are technology-independent), stage 3 by the optimized
+AIG + library fingerprint + cost policy — so scenarios, temperatures,
+repeated runs, and (with a disk cache) separate processes share every
+computation they legally can.  A cached stage's output is checked by
+its guard (:mod:`repro.resilience.guards`) before it is stored, and a
+journaled run records each cached stage (:mod:`repro.resilience.journal`).
 
 Signoff (delay + power decomposition) runs through the PrimeTime
 substrate, with the paper's fair-comparison rule: the clock period for
@@ -32,12 +35,15 @@ power analysis is set by the slowest variant of the same circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from .. import obs
 from ..charlib.nldm import Library
 from ..mapping.cost import CostPolicy, baseline_power_aware, p_a_d, p_d_a
 from ..mapping.netlist import MappedNetlist
 from ..mapping.techmap import TechnologyMapper
+from ..resilience import guards
+from ..resilience.errors import GuardViolation
 from ..resilience.guards import netlist_guard, synthesis_guard
 from ..resilience.isolation import process_map
 from ..resilience.journal import RunJournal, artifact_digest
@@ -47,7 +53,6 @@ from ..synth.aig import AIG
 from ..synth.scripts import ScriptReport, compress2rs, power_aware_restructure
 from .artifacts import ArtifactCache, cache_key
 from .context import DesignContext
-from .stages import FlowRunner, Stage
 
 
 SCENARIOS: dict[str, CostPolicy] = {
@@ -135,6 +140,12 @@ class FlowResult:
         return out
 
 
+def _traced(script: Callable[..., AIG], aig: AIG, **kwargs) -> tuple[AIG, tuple[TraceStep, ...]]:
+    """Run a synthesis script; returns its output and per-pass trace."""
+    report = ScriptReport()
+    return script(aig, report=report, **kwargs), tuple(report.steps)
+
+
 def _prefix_steps(stage: str, steps: tuple[TraceStep, ...]) -> tuple[TraceStep, ...]:
     return tuple((f"{stage}/{label}", ands, depth) for label, ands, depth in steps)
 
@@ -153,10 +164,7 @@ class CryoSynthesisFlow:
         self,
         library: Library | None = None,
         scenario: str = "baseline",
-        k_lut: int = 6,
-        use_choices: bool = True,
         signoff: SignoffConfig | None = None,
-        skip_stage2: bool = False,
         context: DesignContext | None = None,
         journal: RunJournal | None = None,
     ):
@@ -172,10 +180,7 @@ class CryoSynthesisFlow:
         self.library = context.library
         self.scenario = scenario
         self.policy = SCENARIOS[scenario]
-        self.k_lut = k_lut
-        self.use_choices = use_choices
         self.signoff = context.signoff
-        self.skip_stage2 = skip_stage2
         self.journal = journal
 
     # ------------------------------------------------------------------
@@ -184,128 +189,6 @@ class CryoSynthesisFlow:
         """ABC's ``-p`` keeps size primary (baseline); the proposed
         hierarchies make power the primary stage-2 cost."""
         return "tiebreak" if self.scenario == "baseline" else "primary"
-
-    # ------------------------------------------------------------------
-    # Stage declarations
-    # ------------------------------------------------------------------
-    def _stage1(self) -> Stage:
-        def compute(ctx: DesignContext, ins) -> tuple[AIG, tuple[TraceStep, ...]]:
-            aig = ins["aig"]
-            report = ScriptReport()
-            optimized = compress2rs(aig, report)
-            return optimized, tuple(report.steps)
-
-        return Stage(
-            name="c2rs",
-            inputs=("aig",),
-            output="stage1",
-            compute=compute,
-            # Technology-independent: keyed by the input network alone,
-            # so the result is shared across temperatures and policies.
-            cache_key=lambda ctx, ins: cache_key("stage1.c2rs", ins["aig"]),
-            guard=lambda ctx, ins, value: synthesis_guard(
-                "c2rs", ins["aig"], value[0]
-            ),
-        )
-
-    def _stage2(self, memo: dict | None = None) -> Stage:
-        mode = self.stage2_power_mode
-
-        def compute(ctx: DesignContext, ins) -> tuple[AIG, tuple[TraceStep, ...]]:
-            stage1_aig, _ = ins["stage1"]
-            report = ScriptReport()
-            restructured = power_aware_restructure(
-                stage1_aig,
-                k=self.k_lut,
-                power_mode=mode,
-                use_choices=self.use_choices,
-                report=report,
-                memo=memo,
-            )
-            return restructured, tuple(report.steps)
-
-        return Stage(
-            name="power_restructure",
-            inputs=("stage1",),
-            output="stage2",
-            compute=compute,
-            # Also technology-independent; two scenarios with the same
-            # power mode share this computation (the generalization of
-            # the old hand-rolled ``optimized_cache``).
-            cache_key=lambda ctx, ins: cache_key(
-                "stage2.power", ins["stage1"][0], self.k_lut, mode, self.use_choices
-            ),
-            guard=lambda ctx, ins, value: synthesis_guard(
-                "power_restructure", ins["stage1"][0], value[0]
-            ),
-        )
-
-    def _select(self) -> Stage:
-        last = "stage1" if self.skip_stage2 else "stage2"
-        inputs = ("stage1",) if self.skip_stage2 else ("stage1", "stage2")
-
-        def compute(ctx: DesignContext, ins) -> tuple[AIG, tuple[TraceStep, ...]]:
-            trace = _prefix_steps("c2rs", ins["stage1"][1])
-            if not self.skip_stage2:
-                trace += _prefix_steps("power", ins["stage2"][1])
-            return ins[last][0], trace
-
-        return Stage(
-            name="select", inputs=inputs, output="optimized", compute=compute
-        )
-
-    def _map_stage(self, memo: dict | None = None) -> Stage:
-        def compute(ctx: DesignContext, ins) -> MappedNetlist:
-            optimized = ins["optimized"][0]
-            mapper = TechnologyMapper(ctx.view, self.policy)
-            return mapper.map(optimized, memo=memo)
-
-        return Stage(
-            name="map",
-            inputs=("optimized",),
-            output="netlist",
-            compute=compute,
-            cache_key=lambda ctx, ins: cache_key(
-                "map", ins["optimized"][0], ctx.library_fingerprint, self.policy
-            ),
-            guard=lambda ctx, ins, value: netlist_guard(ctx.library, value),
-        )
-
-    def _sta_stage(self) -> Stage:
-        def compute(ctx: DesignContext, ins):
-            return StaticTimingAnalyzer.from_context(ctx, ins["netlist"]).analyze()
-
-        # Cheap relative to synthesis/mapping and dependent only on
-        # already-cached inputs: always recomputed.
-        return Stage(name="sta", inputs=("netlist",), output="timing", compute=compute)
-
-    def synthesis_stages(self, memo: dict | None = None) -> list[Stage]:
-        """The declarative pipeline this flow executes.
-
-        ``memo`` is handed to stage 2 and the mapper (see :meth:`run`).
-        """
-        stages = [self._stage1()]
-        if not self.skip_stage2:
-            stages.append(self._stage2(memo))
-        stages.extend([self._select(), self._map_stage(memo), self._sta_stage()])
-        return stages
-
-    # ------------------------------------------------------------------
-    # Public API (unchanged surface)
-    # ------------------------------------------------------------------
-    def optimize(self, aig: AIG) -> AIG:
-        """Stages 1 + 2: technology-independent + power-aware opt."""
-        stages = [self._stage1()]
-        if not self.skip_stage2:
-            stages.append(self._stage2())
-        stages.append(self._select())
-        runner = FlowRunner(self.context, stages, journal=self.journal)
-        return runner.run(aig=aig)["optimized"][0]
-
-    def map(self, aig: AIG) -> MappedNetlist:
-        """Stage 3: technology mapping under the scenario's policy."""
-        runner = FlowRunner(self.context, [self._map_stage()], journal=self.journal)
-        return runner.run(optimized=(aig, ()))["netlist"]
 
     def run(self, aig: AIG, memo: dict | None = None) -> FlowResult:
         """Full pipeline on one circuit (power signoff done separately
@@ -316,26 +199,131 @@ class CryoSynthesisFlow:
         other scenarios of one :func:`run_scenarios` call; see
         :mod:`repro.synth.memo`.  It changes no result.
         """
+        mode = self.stage2_power_mode
+        violations: list[str] = []
         with obs.span("flow.run", circuit=aig.name, scenario=self.scenario):
-            runner = FlowRunner(
-                self.context, self.synthesis_stages(memo), journal=self.journal
+            # Stages 1-2 are technology-independent: keyed by their
+            # input network alone, so they are shared across
+            # temperatures, and stage 2 across scenarios of one mode.
+            stage1, steps1 = self._stage(
+                "c2rs",
+                lambda: _traced(compress2rs, aig),
+                ("stage1.c2rs", aig),
+                lambda out: synthesis_guard("c2rs", aig, out[0]),
+                violations,
             )
-            artifacts = runner.run(aig=aig)
-        optimized, trace = artifacts["optimized"]
-        netlist = artifacts["netlist"]
+            optimized, steps2 = self._stage(
+                "power_restructure",
+                lambda: _traced(power_aware_restructure, stage1, power_mode=mode, memo=memo),
+                # 6 and True hold the slots of two retired knobs (the LUT
+                # size and use_choices), so existing cache keys stay valid.
+                ("stage2.power", stage1, 6, mode, True),
+                lambda out: synthesis_guard("power_restructure", stage1, out[0]),
+                violations,
+            )
+            netlist = self._stage(
+                "map",
+                lambda: TechnologyMapper(self.context.view, self.policy).map(
+                    optimized, memo=memo
+                ),
+                ("map", optimized, self.context.library_fingerprint, self.policy),
+                lambda out: netlist_guard(self.library, out),
+                violations,
+            )
+            # Cheap next to synthesis and mapping, and dependent only on
+            # cached inputs: always recomputed.
+            timing = self._stage(
+                "sta",
+                lambda: StaticTimingAnalyzer.from_context(self.context, netlist).analyze(),
+            )
         return FlowResult(
             circuit=aig.name,
             scenario=self.scenario,
             netlist=netlist,
             optimized_aig=optimized,
-            critical_delay=artifacts["timing"].max_delay,
+            critical_delay=timing.max_delay,
             area=netlist.total_area(self.library),
             num_gates=netlist.num_gates,
-            timing=artifacts["timing"],
-            opt_trace=trace,
+            timing=timing,
+            opt_trace=_prefix_steps("c2rs", steps1) + _prefix_steps("power", steps2),
             degraded=tuple(self.library.degraded_arcs()),
-            guard_violations=tuple(runner.guard_violations),
+            guard_violations=tuple(violations),
         )
+
+    def _stage(
+        self,
+        name: str,
+        compute: Callable[[], Any],
+        key_parts: tuple | None = None,
+        guard: Callable[[Any], list[str]] | None = None,
+        violations: list[str] | None = None,
+    ) -> Any:
+        """Run one stage under its ``flow.<name>`` span.
+
+        With ``key_parts`` (the arguments of its :func:`cache_key`) the
+        output goes through the artifact cache: on a miss ``guard``
+        checks the fresh output before it is stored, and a journal gets
+        a ``stage`` record.  Without a key the stage always computes.
+        A failure is annotated with ``stage`` and counted as
+        ``stage.error.<name>`` before it propagates.
+        """
+        try:
+            with obs.span(f"flow.{name}") as sp:
+                if key_parts is None:
+                    sp.set(cache="uncached")
+                    return compute()
+                key = cache_key(*key_parts)
+                value, hit = self.context.cache.get_or_compute_flagged(
+                    key,
+                    compute,
+                    cache_if=lambda v: self._guard(name, guard, v, violations),
+                )
+                sp.set(cache="hit" if hit else "miss")
+                if self.journal is not None:
+                    self.journal.record(
+                        "stage",
+                        name=name,
+                        key=key,
+                        digest=artifact_digest(value),
+                        cache_hit=hit,
+                    )
+                return value
+        except Exception as exc:
+            exc.stage = name
+            if hasattr(exc, "add_note"):  # Python >= 3.11
+                exc.add_note(f"while running flow stage {name!r}")
+            obs.count(f"stage.error.{name}")
+            raise
+
+    def _guard(
+        self, name: str, guard: Callable[[Any], list[str]], value: Any, violations: list[str]
+    ) -> bool:
+        """Check a freshly computed output; True means cacheable.
+
+        Runs as the cache's ``cache_if``, so a violating output is never
+        stored whatever the mode; under ``enforce`` it also fails the
+        stage, under ``warn`` it lands in ``violations``.
+        """
+        mode = guards.mode()
+        if mode == "off":
+            return True
+        found = guard(value)
+        if not found:
+            return True
+        obs.count("guard.violation")
+        obs.count(f"guard.violation.{name}")
+        entries = [f"{name}: {v}" for v in found]
+        violations.extend(entries)
+        if self.journal is not None:
+            self.journal.record("guard_violation", stage=name, violations=entries)
+        if mode == "enforce":
+            raise GuardViolation(
+                f"stage {name!r} produced an invalid artifact: " + "; ".join(found),
+                site=f"guard.{name}",
+                stage=name,
+                violations=entries,
+            )
+        return False
 
     def signoff_power(
         self,
@@ -365,14 +353,14 @@ def _scenario_task(payload: tuple) -> FlowResult:
     survive pickling of their thread locks.  Signoff stays in the
     parent — the fair clock period couples the scenarios.
     """
-    aig, library, scenario, use_choices, signoff, seed, cache_dir = payload
+    aig, library, scenario, signoff, seed, cache_dir = payload
     context = DesignContext.from_library(
         library,
         signoff=signoff,
         seed=seed,
         cache=ArtifactCache(cache_dir=cache_dir),
     )
-    flow = CryoSynthesisFlow(scenario=scenario, use_choices=use_choices, context=context)
+    flow = CryoSynthesisFlow(scenario=scenario, context=context)
     with obs.span("flow.scenario", circuit=aig.name, scenario=scenario):
         return flow.run(aig)
 
@@ -383,7 +371,6 @@ def run_scenarios(
     scenarios: list[str] | None = None,
     clock_margin: float = 1.1,
     vectors: int = 512,
-    use_choices: bool = True,
     context: DesignContext | None = None,
     jobs: int = 1,
     isolate: str = "thread",
@@ -430,8 +417,10 @@ def run_scenarios(
         context = DesignContext.from_library(library)
     scenarios = scenarios or list(SCENARIOS)
     keys = {
+        # True fills the slot of the retired use_choices knob, so
+        # journals and caches written before its removal stay valid.
         scenario: context.scenario_key(
-            aig, scenario, tuple(scenarios), use_choices, vectors, clock_margin
+            aig, scenario, tuple(scenarios), True, vectors, clock_margin
         )
         for scenario in scenarios
     }
@@ -459,7 +448,6 @@ def run_scenarios(
     flows = {
         scenario: CryoSynthesisFlow(
             scenario=scenario,
-            use_choices=use_choices,
             context=context,
             journal=journal if isolate == "thread" else None,
         )
@@ -473,7 +461,6 @@ def run_scenarios(
                     aig,
                     context.library,
                     scenario,
-                    use_choices,
                     context.signoff,
                     context.seed,
                     str(cache_dir) if cache_dir is not None else None,

@@ -5,7 +5,7 @@ isolation, and stage-boundary guards (``repro.resilience``).
 Six pieces, adopted across the pipeline:
 
 * :mod:`repro.resilience.errors` — the structured exception taxonomy
-  (``transient`` / ``permanent`` / ``degraded``) every layer raises;
+  (``transient`` / ``permanent``) every layer raises;
 * :mod:`repro.resilience.retry` — generic retry ladders with
   ``resilience.retry.*`` counters (the Newton solver's
   damping/gmin/time-step ladder is the canonical user);
@@ -29,12 +29,10 @@ format, and guard semantics.
 
 from . import faults, guards
 from .errors import (
-    DEGRADED,
     PERMANENT,
     TRANSIENT,
     CacheCorruptionError,
     CalibrationError,
-    DegradedError,
     GuardViolation,
     InjectedCrashError,
     JournalError,
@@ -65,11 +63,9 @@ from .retry import run_ladder
 __all__ = [
     "TRANSIENT",
     "PERMANENT",
-    "DEGRADED",
     "ReproError",
     "TransientError",
     "PermanentError",
-    "DegradedError",
     "CacheCorruptionError",
     "CalibrationError",
     "GuardViolation",

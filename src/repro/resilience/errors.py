@@ -1,18 +1,18 @@
 """Structured exception taxonomy for fault-tolerant flow execution.
 
 Every failure the pipeline can encounter is classified into one of
-three kinds, carried on the exception class (or instance) as
+two kinds, carried on the exception class (or instance) as
 ``classification``:
 
 * ``transient`` — retrying (possibly with relaxed parameters) may
   succeed: Newton non-convergence, a corrupt disk-cache entry, a
   crashed or hung worker subprocess, an injected chaos fault;
 * ``permanent`` — retrying cannot help: bad configuration, a
-  diverged calibration, an impossible request;
-* ``degraded`` — the operation *completed* but on a fallback path
-  with reduced fidelity (e.g. an analytic stand-in for a failed SPICE
-  arc); raised only when a strict mode escalates degradation into an
-  error.
+  diverged calibration, an impossible request.
+
+A *degraded* result (e.g. an analytic stand-in for a failed SPICE
+arc) is not an error: it completes and is marked on the result
+(``Library.degraded_arcs``, ``FlowResult.degraded``).
 
 The module is an import leaf: it depends on nothing else in
 :mod:`repro`, so every layer (``spice``, ``charlib``, ``device``,
@@ -28,10 +28,9 @@ classification.
 
 from __future__ import annotations
 
-#: The three failure classifications.
+#: The two failure classifications.
 TRANSIENT = "transient"
 PERMANENT = "permanent"
-DEGRADED = "degraded"
 
 
 class ReproError(Exception):
@@ -39,9 +38,8 @@ class ReproError(Exception):
 
     ``site`` optionally names the pipeline location that failed (the
     same dotted names the fault-injection harness uses, e.g.
-    ``"spice.newton"``); ``classification`` is one of
-    :data:`TRANSIENT` / :data:`PERMANENT` / :data:`DEGRADED` and may
-    be overridden per class or per instance.
+    ``"spice.newton"``); ``classification`` is :data:`TRANSIENT` or
+    :data:`PERMANENT` and may be overridden per class or per instance.
     """
 
     classification: str = PERMANENT
@@ -61,12 +59,6 @@ class PermanentError(ReproError):
     """A failure no amount of retrying can fix."""
 
     classification = PERMANENT
-
-
-class DegradedError(ReproError):
-    """Degraded (fallback-quality) results escalated by a strict mode."""
-
-    classification = DEGRADED
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +178,7 @@ class ParallelExecutionError(ReproError):
 def classify(exc: BaseException) -> str:
     """Classification of any exception (non-taxonomy -> permanent)."""
     value = getattr(exc, "classification", PERMANENT)
-    return value if value in (TRANSIENT, PERMANENT, DEGRADED) else PERMANENT
+    return value if value in (TRANSIENT, PERMANENT) else PERMANENT
 
 
 def is_transient(exc: BaseException) -> bool:

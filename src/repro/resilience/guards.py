@@ -22,8 +22,9 @@ boundaries of the synthesis flow:
   cell and the gate list is topologically ordered.
 
 Check functions return a list of human-readable violation strings
-(empty = healthy).  The :class:`repro.core.stages.FlowRunner` invokes
-a stage's guard on every cache *miss*, before the artifact is stored:
+(empty = healthy).  :meth:`repro.core.flow.CryoSynthesisFlow.run`
+invokes a cached stage's guard on every cache *miss*, before the
+artifact is stored:
 a violation vetoes caching (quarantine) and — in the default
 ``enforce`` mode — raises
 :class:`repro.resilience.errors.GuardViolation`, a
@@ -40,6 +41,7 @@ import os
 from typing import TYPE_CHECKING
 
 from .. import obs
+from .isolation import env_float
 
 if TYPE_CHECKING:
     from ..charlib.nldm import Library
@@ -79,10 +81,10 @@ def mode() -> str:
 
 
 def cec_sat_limit() -> int:
-    try:
-        return int(os.environ.get("REPRO_GUARD_CEC_LIMIT", DEFAULT_CEC_SAT_LIMIT))
-    except ValueError:
-        return DEFAULT_CEC_SAT_LIMIT
+    """``REPRO_GUARD_CEC_LIMIT`` when set to a finite, non-negative
+    number, else :data:`DEFAULT_CEC_SAT_LIMIT`."""
+    value = env_float("REPRO_GUARD_CEC_LIMIT")
+    return DEFAULT_CEC_SAT_LIMIT if value is None else int(value)
 
 
 # ----------------------------------------------------------------------

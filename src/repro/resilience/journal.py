@@ -14,8 +14,9 @@ Record kinds written by the pipeline:
 * ``run_start`` — header: journal format version plus a digest of the
   run configuration, so ``--resume`` refuses a journal recorded by a
   different command line;
-* ``stage`` — a :class:`repro.core.stages.FlowRunner` stage completed
-  (cache key, result digest, hit/miss);
+* ``stage`` — a cached stage of
+  :meth:`repro.core.flow.CryoSynthesisFlow.run` completed (cache key,
+  result digest, hit/miss);
 * ``scenario`` — one fully signed-off scenario result was committed
   to the artifact cache (cache key + result digest);
 * ``guard_violation`` — a stage-boundary guard quarantined an

@@ -113,7 +113,6 @@ def power_aware_restructure(
     aig: AIG,
     k: int = 6,
     power_mode: str = "primary",
-    use_choices: bool = True,
     report: ScriptReport | None = None,
     memo: dict | None = None,
 ) -> AIG:
@@ -138,18 +137,14 @@ def power_aware_restructure(
     report = report if report is not None else ScriptReport()
     report.record("start", aig)
     power_aware = power_mode != "off"
-    with obs.span("synth.dch", enabled=use_choices):
-        choices = (
-            memoized(memo, "dch", aig, (), lambda: compute_choices(aig))
-            if use_choices
-            else None
-        )
+    with obs.span("synth.dch"):
+        choices = memoized(memo, "dch", aig, (), lambda: compute_choices(aig))
     with obs.span("synth.lutmap", k=k, power_mode=power_mode) as sp:
         # One expression, so that without a memo the candidates are
         # freed before mfs runs.
         network = cover_luts(
             memoized(
-                memo, "lutmap.candidates", aig, (k, use_choices),
+                memo, "lutmap.candidates", aig, (k,),
                 lambda: lut_candidates(aig, k=k, choices=choices),
             ),
             power_mode=power_mode,

@@ -378,12 +378,38 @@ class TestCacheKeyScheme:
         cache = ArtifactCache()
         ctx = DesignContext.from_library(library, cache=cache)
         aig = build_circuit("ctrl", "small")
-        baseline = CryoSynthesisFlow(scenario="baseline", context=ctx)
-        optimized = baseline.optimize(aig)
-        baseline.map(optimized)
+        # Both share stage 2's "primary" power mode but not the policy.
+        CryoSynthesisFlow(scenario="p_a_d", context=ctx).run(aig)
         misses = cache.stats()["misses"]
-        CryoSynthesisFlow(scenario="p_d_a", context=ctx).map(optimized)
+        CryoSynthesisFlow(scenario="p_d_a", context=ctx).run(aig)
         assert cache.stats()["misses"] == misses + 1  # only the map stage
+
+    @pytest.mark.no_chaos  # injected faults degrade the library, changing its fingerprint
+    def test_journaled_keys_are_pinned(self, library, tmp_path):
+        from repro.resilience import RunJournal, load_records
+
+        aig = build_circuit("ctrl", "small")
+        ctx = DesignContext.from_library(library, cache=ArtifactCache())
+        with RunJournal.create(tmp_path / "run.journal") as journal:
+            run_scenarios(aig, context=ctx, vectors=64, journal=journal)
+        records, _ = load_records(tmp_path / "run.journal")
+        assert records[0]["kind"] == "run_start"
+        got = [(r["kind"], r.get("name") or r.get("scenario"), r["key"]) for r in records[1:]]
+        c2rs = ("stage", "c2rs", "stage1.c2rs:61bcbd3e85e77b90afdba5b464c10269")
+        assert got == [
+            c2rs,
+            ("stage", "power_restructure", "stage2.power:1e3a089deae9e6d594e4767b179b9d04"),
+            ("stage", "map", "map:dfa85fcca8fb90ab18806abaf6bfb6c9"),
+            c2rs,
+            ("stage", "power_restructure", "stage2.power:564858bc0d3bae6ab1fa2f4626917241"),
+            ("stage", "map", "map:1c2a7b075aff545fe8aa644b47ade8f3"),
+            c2rs,
+            ("stage", "power_restructure", "stage2.power:564858bc0d3bae6ab1fa2f4626917241"),
+            ("stage", "map", "map:9436a94d994e3b53956a265ab89d7f9c"),
+            ("scenario", "baseline", "scenario.result:f2be09dd17dd34da00f6ea022e6be246"),
+            ("scenario", "p_a_d", "scenario.result:9861877cdb12b8c9c9bb98fae2c7595f"),
+            ("scenario", "p_d_a", "scenario.result:93f7c6ff29d8ee6b7df0af96b98764bd"),
+        ]
 
 
 class TestViewSharing:

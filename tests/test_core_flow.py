@@ -96,8 +96,7 @@ class TestFlowCorrectness:
 
     def test_optimization_reduces_or_preserves_size(self, library):
         aig = build_circuit("cavlc", "small")
-        flow = CryoSynthesisFlow(library, "baseline")
-        optimized = flow.optimize(aig)
+        optimized = CryoSynthesisFlow(library, "baseline").run(aig).optimized_aig
         assert optimized.num_ands <= aig.num_ands * 1.05
 
 
@@ -143,10 +142,3 @@ class TestOptimizationTrace:
         assert dumped["optimization_trace"]
         step = dumped["optimization_trace"][0]
         assert set(step) == {"pass", "ands", "depth"}
-
-    def test_skip_stage2_trace_is_stage1_only(self, library):
-        aig = build_circuit("ctrl", "small")
-        flow = CryoSynthesisFlow(library, "baseline", skip_stage2=True)
-        result = flow.run(aig)
-        stages = {label.split("/", 1)[0] for label, _, _ in result.opt_trace}
-        assert stages == {"c2rs"}

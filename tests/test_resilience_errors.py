@@ -6,7 +6,6 @@ from repro import obs
 from repro.resilience import (
     CacheCorruptionError,
     CalibrationError,
-    DegradedError,
     MeasurementError,
     ParallelExecutionError,
     PermanentError,
@@ -16,14 +15,13 @@ from repro.resilience import (
     is_transient,
     run_ladder,
 )
-from repro.resilience.errors import DEGRADED, PERMANENT, TRANSIENT
+from repro.resilience.errors import PERMANENT, TRANSIENT
 
 
 class TestTaxonomy:
     def test_classifications(self):
         assert classify(TransientError("x")) == TRANSIENT
         assert classify(PermanentError("x")) == PERMANENT
-        assert classify(DegradedError("x")) == DEGRADED
         assert classify(ReproError("x")) == PERMANENT
 
     def test_foreign_exceptions_default_permanent(self):

@@ -18,6 +18,7 @@ from repro.core import CryoSynthesisFlow
 from repro.mapping.netlist import GateInstance, MappedNetlist
 from repro.resilience import FaultPlan, FaultSpec, GuardViolation, injecting
 from repro.resilience.guards import (
+    cec_sat_limit,
     check_aig_invariants,
     check_library_invariants,
     netlist_guard,
@@ -102,6 +103,14 @@ class TestSynthesisGuard:
         after.add_po(after.add_and(a, b), "f")
         violations = synthesis_guard("test", before, after)
         assert any("cec" in v for v in violations)
+
+    @pytest.mark.parametrize(
+        "raw, limit",
+        [("nan", 200), ("inf", 200), ("-1", 200), ("1e9", 1_000_000_000), ("150", 150)],
+    )
+    def test_cec_limit_env_knob(self, monkeypatch, raw, limit):
+        monkeypatch.setenv("REPRO_GUARD_CEC_LIMIT", raw)
+        assert cec_sat_limit() == limit
 
     def test_sat_budget_exhaustion_is_counted_not_failed(self, monkeypatch):
         monkeypatch.setenv("REPRO_GUARD_CEC_LIMIT", "1")
@@ -200,7 +209,7 @@ class TestMiscompileQuarantine:
         # Quarantine: the poisoned artifact must NOT have been cached
         # under the stage key — a clean rerun in the same cache
         # recomputes and passes the same guard.
-        clean = CryoSynthesisFlow(library).optimize(aig)
+        clean = CryoSynthesisFlow(library).run(aig).optimized_aig
         assert check_equivalence(aig, clean).equivalent
 
     def test_warn_mode_reports_without_failing(self, library, monkeypatch):
@@ -214,7 +223,7 @@ class TestMiscompileQuarantine:
         # Still quarantined: with the fault gone, the same cache
         # yields a functionally correct network.
         monkeypatch.setenv("REPRO_GUARDS", "enforce")
-        clean = CryoSynthesisFlow(library).optimize(aig)
+        clean = CryoSynthesisFlow(library).run(aig).optimized_aig
         assert check_equivalence(aig, clean).equivalent
 
     def test_off_mode_skips_guards(self, library, monkeypatch):

@@ -237,22 +237,22 @@ class TestCalibrationResilience:
         assert math.isfinite(result.rms_log_error)
 
 
-class TestStageTimeouts:
-    def test_stage_failure_annotated(self):
+class TestStageFailures:
+    def test_stage_failure_annotated(self, monkeypatch):
+        from repro.benchgen import build_circuit
         from repro.charlib import default_library
-        from repro.core import DesignContext
-        from repro.core.stages import FlowRunner, Stage
+        from repro.core import CryoSynthesisFlow
 
-        def boom(ctx, ins):
+        def boom(aig, report=None):
             raise RuntimeError("stage body failed")
 
-        stage = Stage(name="exploding", inputs=(), output="out", compute=boom)
-        context = DesignContext.from_library(default_library(10.0))
+        monkeypatch.setattr("repro.core.flow.compress2rs", boom)
+        flow = CryoSynthesisFlow(default_library(10.0))
         with obs.Tracer() as tracer:
             with pytest.raises(RuntimeError) as info:
-                FlowRunner(context, [stage]).run()
-        assert info.value.stage == "exploding"
-        assert tracer.counters["stage.error.exploding"] == 1
+                flow.run(build_circuit("ctrl", "small"))
+        assert info.value.stage == "c2rs"
+        assert tracer.counters["stage.error.c2rs"] == 1
 
 
 class TestEndToEndFaultedEvaluation:
