@@ -1,8 +1,10 @@
 """A CDCL SAT solver.
 
-The paper's synthesis pipeline leans on SAT in two places: SAT-based
-resubstitution with don't-cares (ABC's ``mfs``) and the equivalence
-checking that guards every netlist transformation.  This module
+The synthesis pipeline leans on SAT in three places: proving
+resubstitution candidates (``resub``) and structural-choice classes
+(``dch``) through :mod:`repro.sat.sweep`, and the equivalence checking
+that guards every netlist transformation.  (``mfs`` needs no solver:
+it computes its windows' don't-cares on truth tables.)  This module
 provides the reasoning engine: a conflict-driven clause-learning
 solver with two-watched-literal propagation, first-UIP learning,
 VSIDS-style activity ordering, phase saving, and Luby restarts.

@@ -217,23 +217,25 @@ def mffc_size(aig: AIG, root: int, leaves: tuple[int, ...], fanouts: list[int]) 
 
     Counts the AND nodes inside the cut cone whose every fanout path
     stays inside the cone — the nodes that die if the root is replaced.
-    Uses the supplied global fanout counts: a node belongs to the MFFC
-    if all of its fanouts are MFFC members (starting from the root).
+    Counts references as ABC does: starting from the root, each member
+    references its fanins that are ANDs and not leaves, and a fanin
+    joins (and is expanded in turn) once its count reaches its global
+    fanout count in ``fanouts``.  Costs O(MFFC); ``fanouts`` is not
+    modified.  A root that is a leaf or not an AND has an empty MFFC.
     """
-    cone = cut_cone_nodes(aig, root, leaves)
-    if not cone:
+    if root in leaves or not aig.is_and(root):
         return 0
-    # Count references into each cone node from inside the MFFC.
-    mffc = {root}
-    # Process in reverse topological (descending id) order.
-    internal_refs: dict[int, int] = {node: 0 for node in cone}
-    for node in sorted(cone, reverse=True):
-        if node not in mffc:
-            continue
-        f0, f1 = aig.fanins(node)
-        for fanin in (lit_var(f0), lit_var(f1)):
-            if fanin in internal_refs:
-                internal_refs[fanin] += 1
-                if internal_refs[fanin] == fanouts[fanin]:
-                    mffc.add(fanin)
-    return len(mffc)
+    refs: dict[int, int] = {}
+    stack = [root]
+    size = 1
+    while stack:
+        for lit in aig.fanins(stack.pop()):
+            fanin = lit_var(lit)
+            if fanin in leaves or not aig.is_and(fanin):
+                continue
+            count = refs.get(fanin, 0) + 1
+            refs[fanin] = count
+            if count == fanouts[fanin]:
+                size += 1
+                stack.append(fanin)
+    return size

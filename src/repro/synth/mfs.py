@@ -6,8 +6,14 @@ pattern of the LUT is a don't-care when no assignment of the window's
 inputs that produces the pattern lets the LUT's value reach any window
 output.  The LUT function is then re-synthesized against the enlarged
 don't-care set with ISOP, choosing the cover that minimizes literal
-count — and, in power-aware mode, preferring to drop high-activity
-inputs (the ``-p`` behaviour the paper's pipeline enables).
+count.  The don't-cares are computed on whole truth tables: each
+fanout's Boolean difference with respect to the LUT, ORed over the
+fanouts and projected onto the LUT's inputs.
+
+Power-aware mode (``power_aware`` with ``activities``, what the
+paper's ``mfs -p`` asks for) is accepted but changes nothing: the leaf
+costs it derives reach :func:`_resynthesize`, which does not read them,
+so the pass returns the same network as without it.
 
 Window-exact don't-cares are a sound subset of the global don't-cares,
 so every accepted change preserves functionality by construction; the
@@ -21,10 +27,11 @@ from dataclasses import dataclass
 from .. import obs
 from .isop import cover_to_tt, isop
 from .lutnet import LUT, LUTNetwork
-from .truth import tt_mask, tt_support
+from .truth import tt_expand, tt_mask, tt_support
 
 
-#: Maximum number of window input variables to enumerate exhaustively.
+#: Maximum number of window input variables.  Fanout tables are expanded
+#: onto one more, the LUT's own output: 2**13 bits at most.
 MAX_WINDOW_INPUTS = 12
 
 
@@ -39,7 +46,16 @@ class MfsReport:
 
 
 def _window_dont_cares(network: LUTNetwork, lut_index: int, fanout_indices: list[int]) -> int:
-    """Observability DC mask over the LUT's input space (window-exact)."""
+    """Observability DC mask over the LUT's input space (window-exact).
+
+    The window's ``m`` variables are the LUT's leaves, then the fanouts'
+    side inputs; the LUT's own output is variable ``m``.  A fanout
+    observes the LUT where its table, expanded onto these ``m + 1``
+    variables, differs between the two halves (node = 1 against
+    node = 0).  A LUT input pattern is a care when some window
+    assignment extending it is observed by some fanout: the OR of the
+    fanouts' Boolean differences, with the side inputs folded away.
+    """
     lut = network.luts[lut_index]
     node_id = network.lut_id(lut_index)
     k = len(lut.leaves)
@@ -55,36 +71,19 @@ def _window_dont_cares(network: LUTNetwork, lut_index: int, fanout_indices: list
         return 0  # no (cheap) observability information
 
     position = {node: i for i, node in enumerate(window_inputs)}
-    dc = tt_mask(k)
-    care = 0
-    for pattern in range(1 << m):
-        values = {node: bool((pattern >> i) & 1) for node, i in position.items()}
-        # LUT input pattern under this window assignment.
-        local = 0
-        for j, leaf in enumerate(lut.leaves):
-            if values[leaf]:
-                local |= 1 << j
-        if (care >> local) & 1:
-            continue  # already known to be observable
-        # Evaluate each fanout LUT with the node low and high.
-        observable = False
-        for fo in fanout_indices:
-            fo_lut = network.luts[fo]
-            index_low = index_high = 0
-            for j, leaf in enumerate(fo_lut.leaves):
-                if leaf == node_id:
-                    index_high |= 1 << j
-                elif values[leaf]:
-                    index_low |= 1 << j
-                    index_high |= 1 << j
-            out_low = (fo_lut.table >> index_low) & 1
-            out_high = (fo_lut.table >> index_high) & 1
-            if out_low != out_high:
-                observable = True
-                break
-        if observable:
-            care |= 1 << local
-    return dc & ~care & tt_mask(k)
+    position[node_id] = m
+    half = 1 << m
+    observable = 0
+    for fo in fanout_indices:
+        fo_lut = network.luts[fo]
+        positions = [position[leaf] for leaf in fo_lut.leaves]
+        table = tt_expand(fo_lut.table, positions, len(positions), m + 1)
+        observable |= (table >> half) ^ (table & tt_mask(m))
+    # Project onto the LUT's own leaves, the first k variables.
+    for n in range(m, k, -1):
+        half = 1 << (n - 1)
+        observable = (observable >> half) | (observable & tt_mask(n - 1))
+    return tt_mask(k) & ~observable
 
 
 def _resynthesize(
@@ -93,8 +92,8 @@ def _resynthesize(
     """Minimize a LUT function against don't-cares.
 
     Returns (new_table, kept_input_positions) when an improvement was
-    found, else None.  ``input_costs`` biases which inputs to keep
-    (power-aware mode passes leaf activities).
+    found, else None.  ``input_costs`` (power-aware mode passes leaf
+    activities) is not read: no choice here depends on it.
     """
     mask = tt_mask(k)
     on = table & ~dc & mask

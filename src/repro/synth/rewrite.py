@@ -8,9 +8,11 @@ compact implementation from ISOP + algebraic factoring, with optimal
 hand-crafted structures seeded for the ubiquitous classes (XOR, MUX,
 MAJ) where factoring is weak.
 
-Replacements are chosen greedily over disjoint MFFCs and applied in a
-single reconstruction pass, which keeps the transformation linear and
-trivially verifiable (the pass is self-checked by CEC in the tests).
+Replacements are chosen greedily by gain among candidates whose cut
+cones (the AND nodes between the cut's leaves and its root) are
+disjoint, and applied in a single reconstruction pass, which keeps the
+transformation linear and trivially verifiable (the pass is
+self-checked by CEC in the tests).
 """
 
 from __future__ import annotations

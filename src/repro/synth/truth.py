@@ -111,9 +111,12 @@ def _expand_plan(
     ``i`` at index ``i`` and makes the new variables don't-cares.  Each
     ``(shift, mask)`` swap then moves one old variable into its slot;
     the slot it leaves holds a don't-care or a variable not yet placed,
-    so at most ``n_from`` swaps are needed.  Placing the highest
-    variable first means a monotone map, the only kind cut merging
-    makes, never displaces an old variable.
+    so at most ``n_from`` swaps are needed.  Any map of distinct
+    positions works, and both kinds are tested against the reference:
+    cut merging makes monotone maps, which, placing the highest
+    variable first, never displace an old variable; ``mfs`` makes
+    non-monotone maps in window order, onto up to 13 variables, whose
+    displaced variables are tracked until placed.
     """
     replicate = 0
     for block in range(1 << (n_to - n_from)):

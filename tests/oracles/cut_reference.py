@@ -2,16 +2,17 @@
 
 The production cut engine (:mod:`repro.synth.cuts`,
 :mod:`repro.synth.truth`) works on whole truth-table words, filters
-merges by leaf signatures and canonicalizes NPN classes through a
-precomputed minterm index map.  Its contract is bit-identity with the
-straightforward implementation kept here: the same ``Cut`` lists in
-the same order for every node, and the same ``npn_canon`` tuple, ties
-included.  ``tests/test_cut_engine_oracle.py`` checks the two against
-each other.
+merges by leaf signatures, canonicalizes NPN classes through a
+precomputed minterm index map and counts MFFCs by reference counts.
+Its contract is bit-identity with the straightforward implementation
+kept here: the same ``Cut`` lists in the same order for every node,
+the same ``npn_canon`` tuple, ties included, and the same
+``mffc_size``.  ``tests/test_cut_engine_oracle.py`` checks the two
+against each other.
 
 The minterm-level helpers (``tt_permute``, ``tt_flip_input``, ...)
-are still the program's own and are imported from it.  Nothing here is
-imported by the program.
+and ``cut_cone_nodes`` are still the program's own and are imported
+from it.  Nothing here is imported by the program.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from repro.synth.aig import AIG, lit_is_compl, lit_var
-from repro.synth.cuts import NO_TABLE, Cut
+from repro.synth.cuts import NO_TABLE, Cut, cut_cone_nodes
 from repro.synth.truth import tt_flip_input, tt_mask, tt_not, tt_permute, tt_var
 
 
@@ -163,3 +164,33 @@ def enumerate_cuts(
         merged.append(Cut((node,), trivial_table))
         cuts[node] = merged
     return cuts
+
+
+# ----------------------------------------------------------------------
+# MFFC
+# ----------------------------------------------------------------------
+def mffc_size(aig: AIG, root: int, leaves: tuple[int, ...], fanouts: list[int]) -> int:
+    """Size of the cut's maximum fanout-free cone.
+
+    Counts the AND nodes inside the cut cone whose every fanout path
+    stays inside the cone — the nodes that die if the root is replaced.
+    Uses the supplied global fanout counts: a node belongs to the MFFC
+    if all of its fanouts are MFFC members (starting from the root).
+    """
+    cone = cut_cone_nodes(aig, root, leaves)
+    if not cone:
+        return 0
+    # Count references into each cone node from inside the MFFC.
+    mffc = {root}
+    # Process in reverse topological (descending id) order.
+    internal_refs: dict[int, int] = {node: 0 for node in cone}
+    for node in sorted(cone, reverse=True):
+        if node not in mffc:
+            continue
+        f0, f1 = aig.fanins(node)
+        for fanin in (lit_var(f0), lit_var(f1)):
+            if fanin in internal_refs:
+                internal_refs[fanin] += 1
+                if internal_refs[fanin] == fanouts[fanin]:
+                    mffc.add(fanin)
+    return len(mffc)

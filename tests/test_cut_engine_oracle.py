@@ -3,8 +3,10 @@
 :mod:`tests.oracles.cut_reference` keeps the original minterm-loop
 implementation.  The production engine must reproduce it exactly: the
 same ``Cut(leaves, table)`` lists in the same order for every node,
-the same ``tt_expand`` words and the same ``npn_canon`` tuples, ties
-included.
+the same ``tt_expand`` words, the same ``npn_canon`` tuples, ties
+included, and the same ``mffc_size`` for every cut.  The default
+preset's rewrite and refactor calls run in
+``benchmarks/test_synth_default.py``.
 """
 
 import random
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.benchgen import build_circuit
+from repro.benchgen.suite import EPFL_SUITE
 from repro.synth import AIG, compute_choices
-from repro.synth.cuts import enumerate_cuts
+from repro.synth.cuts import enumerate_cuts, mffc_size
 from repro.synth.truth import npn_canon, tt_expand
 
 from .oracles import cut_reference as ref
@@ -97,13 +100,61 @@ def test_tt_expand_matches_reference():
                 positions = rng.sample(range(n_to), n_from)
                 cases.append((sorted(positions), n_from, n_to))
                 cases.append((positions, n_from, n_to))
-    assert any(p != sorted(p) for p, _, _ in cases)
+    # Window don't-cares expand LUT tables onto up to 13 variables in
+    # window order, which is not monotone; the reference costs 2**n_to
+    # steps per call, so these widths are sampled.
+    for n_to in range(9, 14):
+        for n_from in (1, rng.randint(2, 6), n_to):
+            positions = rng.sample(range(n_to), n_from)
+            cases.append((sorted(positions), n_from, n_to))
+            cases.append((positions, n_from, n_to))
+    assert any(p != sorted(p) for p, _, n_to in cases if n_to > 8)
     for positions, n_from, n_to in cases:
-        for _ in range(4):
+        for _ in range(4 if n_to <= 8 else 1):
             tt = rng.getrandbits(1 << n_from)
             assert tt_expand(tt, positions, n_from, n_to) == ref.tt_expand(
                 tt, positions, n_from, n_to
             ), (tt, positions, n_from, n_to)
+
+
+def assert_same_mffc(aig: AIG, cut_lists: dict[int, list[tuple[int, ...]]]) -> None:
+    """``mffc_size`` equals the reference for every root and leaf set."""
+    fanouts = aig.fanout_counts()
+    for root, leaf_sets in cut_lists.items():
+        for leaves in leaf_sets:
+            assert mffc_size(aig, root, leaves, fanouts) == ref.mffc_size(
+                aig, root, leaves, fanouts
+            ), (root, leaves)
+
+
+@pytest.mark.parametrize("k,max_cuts", [(4, 8), (8, 4)])
+@pytest.mark.parametrize("name", sorted(EPFL_SUITE))
+def test_mffc_size_matches_reference_small_suite(name, k, max_cuts):
+    # The cuts rewrite (4, 8) and refactor (8, 4) score, on every node,
+    # the primary inputs and constant included.
+    aig = build_circuit(name, "small")
+    cuts = enumerate_cuts(aig, k=k, max_cuts=max_cuts)
+    assert_same_mffc(aig, {node: [cut.leaves for cut in cuts[node]] for node in cuts})
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_pis=st.integers(2, 10),
+    k=st.integers(2, 8),
+    max_cuts=st.integers(1, 8),
+)
+def test_mffc_size_matches_reference_on_random_aigs(seed, n_pis, k, max_cuts):
+    aig = random_aig(seed, n_pis, n_nodes=120)
+    cuts = enumerate_cuts(aig, k=k, max_cuts=max_cuts, compute_tables=False)
+    cut_lists = {node: [cut.leaves for cut in cuts[node]] for node in cuts}
+    # Leaf sets that are not cuts: cones that run into the primary
+    # inputs, and leaves off the root's cone.
+    rng = random.Random(seed)
+    for root in range(aig.num_nodes):
+        for size in range(4):
+            cut_lists[root].append(tuple(sorted(rng.sample(range(aig.num_nodes), size))))
+    assert_same_mffc(aig, cut_lists)
 
 
 def test_npn_canon_every_function_up_to_three_inputs():

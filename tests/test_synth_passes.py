@@ -18,9 +18,7 @@ from repro.synth import (
     compress2rs,
     compute_choices,
     enumerate_cuts,
-    lit_not,
     map_luts,
-    mffc_size,
     mfs,
     node_activities,
     refactor,
@@ -31,6 +29,8 @@ from repro.synth import (
 )
 from repro.synth.lutmap import cover_luts, lut_candidates
 from repro.synth.memo import memoized
+
+from .test_mfs_oracle import stage2_networks
 
 
 def random_network(seed: int, n_pis=6, n_ops=80, n_pos=3) -> AIG:
@@ -64,16 +64,6 @@ class TestCuts:
     def test_minimum_k(self):
         with pytest.raises(ValueError):
             enumerate_cuts(random_network(2), k=1)
-
-    def test_mffc_at_least_one(self):
-        g = random_network(3)
-        cuts = enumerate_cuts(g, k=4)
-        fanouts = g.fanout_counts()
-        for node in g.and_nodes()[-10:]:
-            for cut in cuts[node][:2]:
-                if node in cut.leaves:
-                    continue
-                assert mffc_size(g, node, cut.leaves, fanouts) >= 1
 
 
 class TestRewrite:
@@ -282,6 +272,20 @@ class TestMfs:
         acts = [0.5] * (net.num_pis + net.num_luts + 1)
         simplified, _ = mfs(net, power_aware=True, activities=acts)
         assert_equivalent(net.to_aig(), simplified.to_aig(), "mfs -p")
+
+    def test_power_aware_mode_changes_nothing(self):
+        """``mfs -p`` has no effect yet (ROADMAP item 9).
+
+        ``_resynthesize`` never reads the leaf costs that power-aware
+        mode derives from the activities, so the pass returns the plain
+        pass's network and report.  Implementing ABC's power-aware input
+        choice changes this test on purpose.
+        """
+        rng = random.Random(9)
+        stage2 = stage2_networks(compress2rs(build_circuit("int2float")))
+        for net in [*stage2.values(), map_luts(random_network(14, n_ops=120), k=5)]:
+            acts = [rng.random() for _ in range(net.num_pis + net.num_luts + 1)]
+            assert mfs(net, power_aware=True, activities=acts) == mfs(net)
 
     def test_max_luts_budget(self):
         g = random_network(15, n_ops=150)
